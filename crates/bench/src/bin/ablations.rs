@@ -12,7 +12,7 @@
 //! 4. **Redundant class labels** — FactorHD's labelled clause encoding vs
 //!    the bare C-C product (which requires iterative factorization at all).
 
-use factorhd_bench::{parse_quick, Table};
+use factorhd_bench::{quick_flag, Table};
 use factorhd_core::report::AccuracyCounter;
 use factorhd_core::{Encoder, FactorizeConfig, Factorizer, TaxonomyBuilder, ThresholdPolicy};
 
@@ -57,7 +57,7 @@ fn rep3_accuracy(d: usize, trials: usize, config: FactorizeConfig) -> f64 {
 }
 
 fn main() {
-    let (_, trials) = parse_quick(96, 24);
+    let trials = if quick_flag() { 24 } else { 96 };
 
     // 1. Refinement width on Rep 2 at a deliberately tight dimension.
     let mut t1 = Table::new(

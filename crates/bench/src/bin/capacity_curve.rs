@@ -6,12 +6,12 @@
 //! The prediction is documented as conservative (it models the plain
 //! greedy descent); the measurement column should sit at or above it.
 
-use factorhd_bench::{parse_quick, run_factorhd_rep1, run_factorhd_rep23, Rep23Setting, Table};
+use factorhd_bench::{quick_flag, run_factorhd_rep1, run_factorhd_rep23, Rep23Setting, Table};
 use factorhd_core::capacity::{dimension_for_accuracy, predict_single_object_accuracy};
 use factorhd_core::TaxonomyBuilder;
 
 fn main() {
-    let (_, trials) = parse_quick(256, 32);
+    let trials = if quick_flag() { 32 } else { 256 };
 
     let mut rep1 = Table::new(
         "Capacity: Rep 1 (F = 3, M = 32) predicted vs measured accuracy",

@@ -13,7 +13,7 @@
 //! * `--quick` — three repetitions per grid point instead of five.
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
+    let quick = factorhd_bench::quick_flag();
     let compared = factorhd_bench::verify_artifact_round_trip();
     println!("artifact save→load→factorize: bit-identical across {compared} responses");
     let points = factorhd_bench::engine_throughput_points(quick);

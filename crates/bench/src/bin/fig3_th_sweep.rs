@@ -8,7 +8,7 @@
 //! verbatim is out of scale (see DESIGN.md); the fit below regenerates the
 //! coefficients from our own measurements.
 
-use factorhd_bench::{parse_quick, th_sweep, Table};
+use factorhd_bench::{quick_flag, th_sweep, Table};
 use factorhd_core::threshold::{paper_eq2, LinearThresholdModel, ThObservation};
 
 fn grid() -> Vec<f64> {
@@ -16,7 +16,7 @@ fn grid() -> Vec<f64> {
 }
 
 fn main() {
-    let (_, trials) = parse_quick(96, 24);
+    let trials = if quick_flag() { 24 } else { 96 };
     let mut observations: Vec<ThObservation> = Vec::new();
     let record = |obs: &mut Vec<ThObservation>, n: usize, f: usize, d: usize, m: usize, th: f64| {
         obs.push(ThObservation {

@@ -9,10 +9,11 @@
 //! resonator collapses first (≈10⁶), the IMC factorizer later; both grow
 //! steeply in time, so FactorHD's speedup grows with problem size.
 
-use factorhd_bench::{parse_quick, run_factorhd_rep1, run_imc, run_resonator, Table};
+use factorhd_bench::{quick_flag, run_factorhd_rep1, run_imc, run_resonator, Table};
 
 fn main() {
-    let (quick, fhd_trials) = parse_quick(256, 32);
+    let quick = quick_flag();
+    let fhd_trials = if quick { 32 } else { 256 };
     let iter_trials = if quick { 8 } else { 24 };
 
     for (f, d, ms) in [

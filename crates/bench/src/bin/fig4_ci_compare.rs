@@ -12,10 +12,11 @@
 //! far ahead on multi-object scenes; times comparable.
 
 use factorhd_bench::runner::{run_ci_model_scene, run_factorhd_multi};
-use factorhd_bench::{parse_quick, run_ci_model, run_factorhd_rep1, Table};
+use factorhd_bench::{quick_flag, run_ci_model, run_factorhd_rep1, Table};
 
 fn main() {
-    let (quick, trials) = parse_quick(512, 64);
+    let quick = quick_flag();
+    let trials = if quick { 64 } else { 512 };
     let scene_trials = if quick { 32 } else { 192 };
 
     for (f, d) in [(3usize, 256usize), (4, 512)] {

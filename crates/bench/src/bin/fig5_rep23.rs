@@ -9,10 +9,10 @@
 //! `D = 1000–1500`; Rep 3 (object count unknown) needs noticeably higher
 //! dimensions for the same accuracy.
 
-use factorhd_bench::{parse_quick, run_factorhd_rep23, Rep23Setting, Table};
+use factorhd_bench::{quick_flag, run_factorhd_rep23, Rep23Setting, Table};
 
 fn main() {
-    let (_, trials) = parse_quick(128, 24);
+    let trials = if quick_flag() { 24 } else { 128 };
 
     let mut rep2 = Table::new(
         "Fig. 5(a): Rep 2 (1 object, 2 subclass levels, 256×10 items)",

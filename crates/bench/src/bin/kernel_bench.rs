@@ -10,7 +10,7 @@
 //! directory. Run with `--quick` for reduced repetitions per grid point.
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
+    let quick = factorhd_bench::quick_flag();
     println!("cpu features: {}", hdc::kernels::cpu_features());
     println!(
         "selected kernel: {} (override with FACTORHD_KERNEL)",

@@ -13,7 +13,7 @@
 //!   of four repetitions.
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
+    let quick = factorhd_bench::quick_flag();
     let report = factorhd_bench::learn_points(quick);
     factorhd_bench::learn_table(&report).print();
     println!("\nCIFAR retraining curve (held-out accuracy by epoch):");

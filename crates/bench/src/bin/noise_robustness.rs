@@ -4,14 +4,14 @@
 //! capacity model treats clutter as extra objects in its noise term, so
 //! the analytic column tracks the measurement.
 
-use factorhd_bench::{parse_quick, Table};
+use factorhd_bench::{quick_flag, Table};
 use factorhd_core::capacity::argmax_success_probability;
 use factorhd_core::threshold::{clause_density, expected_signal};
 use factorhd_core::{Encoder, FactorizeConfig, Factorizer, Scene, TaxonomyBuilder};
 use hdc::BipolarHv;
 
 fn main() {
-    let (_, trials) = parse_quick(200, 32);
+    let trials = if quick_flag() { 32 } else { 200 };
     let f = 3usize;
     let m = 16usize;
     let d = 2048usize;

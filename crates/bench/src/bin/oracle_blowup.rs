@@ -7,11 +7,12 @@
 //! gap is the paper's complexity argument in one table.
 
 use factorhd_baselines::{oracle, FactorizationProblem, Resonator, ResonatorConfig};
-use factorhd_bench::{parse_quick, run_factorhd_rep1, Table};
+use factorhd_bench::{quick_flag, run_factorhd_rep1, Table};
 use std::time::Instant;
 
 fn main() {
-    let (quick, trials) = parse_quick(32, 8);
+    let quick = quick_flag();
+    let trials = if quick { 8 } else { 32 };
     let f = 3usize;
     let d = 1024usize;
     let sizes: &[usize] = if quick { &[4, 8, 12] } else { &[4, 8, 16, 24] };

@@ -7,7 +7,7 @@
 //! directory. Run with `--quick` for reduced repetitions per grid point.
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
+    let quick = factorhd_bench::quick_flag();
     let compared = factorhd_bench::verify_packed_equivalence();
     println!("packed vs reference top-1/top-k: bit-identical across {compared} scans");
     let points = factorhd_bench::packed_scan_points(quick);

@@ -4,11 +4,11 @@
 //! with one dot product; this binary measures its true/false-positive
 //! rates against scene size, versus the full-factorization alternative.
 
-use factorhd_bench::{parse_quick, Table};
+use factorhd_bench::{quick_flag, Table};
 use factorhd_core::{Encoder, SceneQuery, TaxonomyBuilder};
 
 fn main() {
-    let (_, trials) = parse_quick(200, 32);
+    let trials = if quick_flag() { 32 } else { 200 };
     let f = 3usize;
     let m = 16usize;
     let d = 4096usize;

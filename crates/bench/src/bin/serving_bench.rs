@@ -15,7 +15,7 @@
 //!   target instead of four repetitions.
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
+    let quick = factorhd_bench::quick_flag();
     let report = factorhd_bench::serving_points(quick);
     factorhd_bench::serving_table(&report).print();
     println!();

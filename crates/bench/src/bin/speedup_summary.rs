@@ -7,10 +7,10 @@
 //! orders of magnitude* with problem size because FactorHD's cost is
 //! `O(N_M)` while the iterative factorizers scale super-linearly.
 
-use factorhd_bench::{parse_quick, run_factorhd_rep1, run_imc, run_resonator, Table};
+use factorhd_bench::{quick_flag, run_factorhd_rep1, run_imc, run_resonator, Table};
 
 fn main() {
-    let (quick, _) = parse_quick(0, 0);
+    let quick = quick_flag();
     let mut table = Table::new(
         "Headline speedup: FactorHD vs C-C factorizers (F = 3, D = 1500; FactorHD D = 750)",
         &[

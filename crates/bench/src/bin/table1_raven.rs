@@ -6,12 +6,12 @@
 //! graceful degradation at reduced dimensionality; dense multi-object
 //! grids (3x3Grid) are the hardest.
 
-use factorhd_bench::{parse_quick, Table};
+use factorhd_bench::{quick_flag, Table};
 use factorhd_neural::datasets::raven::RavenConfig;
 use factorhd_neural::{RavenPipeline, RavenPipelineConfig};
 
 fn main() {
-    let (_, scenes) = parse_quick(200, 40);
+    let scenes = if quick_flag() { 40 } else { 200 };
     let dims = [250usize, 500, 1000];
 
     let mut headers: Vec<String> = vec!["config".into()];

@@ -8,11 +8,12 @@
 //! arrive superposed; CIFAR-100 supports partial factorization of either
 //! the coarse or the fine label.
 
-use factorhd_bench::{parse_quick, Table};
+use factorhd_bench::{quick_flag, Table};
 use factorhd_neural::{CifarPipeline, CifarPipelineConfig, SimulatedResNet18};
 
 fn main() {
-    let (quick, n_test) = parse_quick(1000, 200);
+    let quick = quick_flag();
+    let n_test = if quick { 200 } else { 1000 };
     let super_trials = if quick { 40 } else { 150 };
 
     // CIFAR-10: accuracy vs D and training superposition.

@@ -54,13 +54,45 @@ pub use serving_bench::{
 };
 pub use table::Table;
 
-/// Returns `true` when the binary was invoked with `--quick` (reduced trial
-/// counts for smoke runs) and the trial count to use.
-pub fn parse_quick(default_trials: usize, quick_trials: usize) -> (bool, usize) {
-    let quick = std::env::args().any(|a| a == "--quick");
-    if quick {
-        (true, quick_trials)
-    } else {
-        (false, default_trials)
+/// Reads a reproduction binary's command line: `true` for `--quick`
+/// (reduced trial counts for smoke runs), `false` for no argument. Any
+/// other argument prints a usage line and exits with code 2, so a
+/// mistyped flag never starts a full-scale run.
+pub fn quick_flag() -> bool {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    parse_quick(&args).unwrap_or_else(|bad| {
+        let program = std::env::args().next().unwrap_or_default();
+        eprintln!("error: unexpected argument `{bad}`\nusage: {program} [--quick]");
+        std::process::exit(2)
+    })
+}
+
+/// [`quick_flag`] over `args` (program name excluded): the first
+/// argument other than `--quick` is the error.
+fn parse_quick(args: &[String]) -> Result<bool, String> {
+    match args.iter().find(|arg| *arg != "--quick") {
+        Some(bad) => Err(bad.clone()),
+        None => Ok(!args.is_empty()),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::parse_quick;
+
+    fn args(list: &[&str]) -> Vec<String> {
+        list.iter().map(|arg| (*arg).to_owned()).collect()
+    }
+
+    #[test]
+    fn parse_quick_accepts_only_the_quick_flag() {
+        assert_eq!(parse_quick(&args(&[])), Ok(false));
+        assert_eq!(parse_quick(&args(&["--quick"])), Ok(true));
+        assert_eq!(parse_quick(&args(&["--quik"])), Err("--quik".to_owned()));
+        assert_eq!(
+            parse_quick(&args(&["--quick", "extra"])),
+            Err("extra".to_owned())
+        );
+        assert_eq!(parse_quick(&args(&["-q"])), Err("-q".to_owned()));
     }
 }

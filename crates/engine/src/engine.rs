@@ -4,27 +4,27 @@ use crate::metrics::{self, MetricsSnapshot};
 use crate::ops::{AnyOp, AnyOutput, Op};
 use crate::{plan, CacheStats, EngineConfig, EngineError, ModelState};
 use factorhd_core::Taxonomy;
-use rayon::prelude::*;
 use std::io::{Read, Write};
 use std::path::Path;
 use std::sync::Arc;
 
-/// A factorization server over one [`ModelState`].
+/// A factorization server over one [`ModelState`]: a one-model view
+/// over the same batch planner a [`crate::ModelRegistry`] runs.
 ///
 /// The engine pays per-model setup exactly once — label-elimination
 /// masks, lazily shared codebooks and clauses, and the Rep-3
 /// reconstruction memo — then serves every request as lookups plus the
 /// irreducible similarity arithmetic. Requests are typed ops
 /// ([`crate::ops`]): [`FactorEngine::run`] returns each op's own output
-/// type, [`FactorEngine::run_batch`] plans a homogeneous batch (chunking
-/// groupable ops through their grouped scan kernels), and
-/// [`FactorEngine::run_mixed`] plans a heterogeneous [`AnyOp`] batch.
-/// Batches run on the rayon pool; results are returned in request order
-/// and are bit-identical to a sequential loop because every kernel is a
+/// type, and [`FactorEngine::run_mixed`] plans an [`AnyOp`] batch on the
+/// rayon pool, chunking Rep-1/Rep-2/Train groups through their grouped
+/// kernels. Results come back in request order, bit-identical to
+/// [`FactorEngine::run_mixed_sequential`], because every kernel is a
 /// pure function of the `(op, model)` pair.
 ///
-/// Engines serving multiple named, hot-swappable models stack a
-/// [`crate::ModelRegistry`] on top of the same ops.
+/// Its telemetry lands in the per-model row
+/// [`metrics::UNREGISTERED_GENERATION`]. Engines serving multiple named,
+/// hot-swappable models use a [`crate::ModelRegistry`] instead.
 pub struct FactorEngine {
     model: Arc<ModelState>,
 }
@@ -153,77 +153,15 @@ impl FactorEngine {
     ///
     /// The conditions of [`Op::run`].
     pub fn run<O: Op>(&self, op: &O) -> Result<O::Output, EngineError> {
-        let kind = op.kind();
-        metrics::record_submitted(kind, 1);
-        let started = metrics::now();
-        let result = op.run(&self.model);
-        if let Some(started) = started {
-            metrics::record_op_nanos(kind, started.elapsed().as_nanos() as u64);
-        }
-        metrics::record_outcomes(kind, result.is_ok() as u64, result.is_err() as u64);
-        metrics::record_model_ops(metrics::UNREGISTERED_GENERATION, 1);
-        result
+        plan::run_one(&self.model, metrics::UNREGISTERED_GENERATION, op)
     }
 
-    /// Executes a homogeneous typed batch across the worker pool, results
-    /// in op order, bit-identical to calling [`FactorEngine::run`] per
-    /// op. Groupable ops ([`Op::groupable`]) are chunked adaptively —
-    /// about two tasks per pool lane, never below the
-    /// [`EngineConfig::batch_chunk`] amortization floor — so each chunk
-    /// amortizes its level-1 codebook scans ([`Op::run_many`]); other ops
-    /// run one per task. Chunk boundaries never affect results.
-    pub fn run_batch<O>(&self, ops: &[O]) -> Vec<Result<O::Output, EngineError>>
-    where
-        O: Op + Sync,
-        O::Output: Send,
-    {
-        let model = self.model.as_ref();
-        metrics::record_batch_size(ops.len() as u64);
-        if !ops.is_empty() {
-            metrics::record_model_ops(metrics::UNREGISTERED_GENERATION, ops.len() as u64);
-        }
-        if O::groupable() {
-            let chunk = plan::task_chunk(true, ops.len(), model.config().batch_chunk);
-            let chunks: Vec<&[O]> = ops.chunks(chunk).collect();
-            let per_chunk: Vec<Vec<Result<O::Output, EngineError>>> = chunks
-                .par_iter()
-                .map(|piece| {
-                    metrics::record_chunk_size(piece.len() as u64);
-                    let refs: Vec<&O> = piece.iter().collect();
-                    if let Some(kind) = piece.first().map(Op::kind) {
-                        metrics::record_submitted(kind, piece.len() as u64);
-                    }
-                    let started = metrics::now();
-                    let results = O::run_many(model, &refs);
-                    record_slice_outcomes(piece, &results, started);
-                    results
-                })
-                .collect();
-            per_chunk.into_iter().flatten().collect()
-        } else {
-            ops.par_iter()
-                .map(|op| {
-                    let kind = op.kind();
-                    metrics::record_submitted(kind, 1);
-                    let started = metrics::now();
-                    let result = op.run(model);
-                    if let Some(started) = started {
-                        metrics::record_op_nanos(kind, started.elapsed().as_nanos() as u64);
-                    }
-                    metrics::record_outcomes(kind, result.is_ok() as u64, result.is_err() as u64);
-                    result
-                })
-                .collect()
-        }
-    }
-
-    /// Executes a heterogeneous batch: ops are grouped by kind so
-    /// same-shape work scans the packed shards contiguously, then fanned
-    /// out across the pool. Results in input order, **bit-identical** to
-    /// [`FactorEngine::run_mixed_sequential`].
+    /// Executes a batch: ops are grouped by kind so same-shape work scans
+    /// the packed shards contiguously, then fanned out across the pool
+    /// under panic containment. Results in input order, **bit-identical**
+    /// to [`FactorEngine::run_mixed_sequential`].
     pub fn run_mixed(&self, ops: &[AnyOp]) -> Vec<Result<AnyOutput, EngineError>> {
-        metrics::record_model_ops(metrics::UNREGISTERED_GENERATION, ops.len() as u64);
-        plan::execute_mixed(&self.model, ops)
+        plan::execute_one_model(&self.model, ops, plan::execute_batch_planned)
     }
 
     /// The determinism reference for [`FactorEngine::run_mixed`]: one op
@@ -231,7 +169,7 @@ impl FactorEngine {
     /// uninstrumented, so reference comparisons never perturb the
     /// telemetry they are checked against.
     pub fn run_mixed_sequential(&self, ops: &[AnyOp]) -> Vec<Result<AnyOutput, EngineError>> {
-        ops.iter().map(|op| op.run(&self.model)).collect()
+        plan::execute_one_model(&self.model, ops, plan::execute_sequential)
     }
 
     /// A copy-out of the process-global telemetry tables: per-op-kind
@@ -240,24 +178,6 @@ impl FactorEngine {
     /// docs/OBSERVABILITY.md.
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
         metrics::snapshot()
-    }
-}
-
-/// Records outcome counts and per-op latency shares for one executed
-/// chunk of a homogeneous batch.
-fn record_slice_outcomes<O: Op>(
-    ops: &[O],
-    results: &[Result<O::Output, EngineError>],
-    started: Option<std::time::Instant>,
-) {
-    let Some(kind) = ops.first().map(Op::kind) else {
-        return;
-    };
-    let completed = results.iter().filter(|r| r.is_ok()).count() as u64;
-    metrics::record_outcomes(kind, completed, results.len() as u64 - completed);
-    if let Some(started) = started {
-        let nanos = started.elapsed().as_nanos() as u64;
-        metrics::record_group_nanos(kind, results.len() as u64, nanos);
     }
 }
 
@@ -405,6 +325,8 @@ mod tests {
 
     #[test]
     fn run_batch_grouped_matches_per_op() {
+        // A planned all-Rep-2 batch runs in grouped chunks; it must
+        // equal per-op `run`.
         let eng = engine(85);
         let encoder = Encoder::new(eng.taxonomy());
         let mut rng = hdc::rng_from_seed(6);
@@ -416,12 +338,12 @@ mod tests {
                 }
             })
             .collect();
-        let batched: Vec<_> = eng
-            .run_batch(&ops)
-            .into_iter()
-            .map(|r| r.expect("decodes"))
+        let any_ops: Vec<AnyOp> = ops.iter().cloned().map(AnyOp::from).collect();
+        let batched = unwrap_all(eng.run_mixed(&any_ops));
+        let singles: Vec<_> = ops
+            .iter()
+            .map(|op| AnyOutput::Rep2(eng.run(op).expect("decodes")))
             .collect();
-        let singles: Vec<_> = ops.iter().map(|op| eng.run(op).expect("decodes")).collect();
         assert_eq!(batched, singles);
     }
 

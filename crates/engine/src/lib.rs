@@ -24,8 +24,8 @@
 //!   maps [`ModelId`]s to models behind generation-stamped
 //!   [`ModelHandle`]s, loaded and **hot-swapped** from `.fhd` artifacts
 //!   at runtime — in-flight batches finish on the model they started on.
-//! * **The batch planner** ([`FactorEngine::run_mixed`] /
-//!   [`ModelRegistry::execute_batch`]): groups heterogeneous ops by
+//! * **The batch planner** ([`ModelRegistry::execute_batch`], and
+//!   [`FactorEngine::run_mixed`] as its one-model view): groups ops by
 //!   `(model, op kind)` so same-shape work scans each codebook's packed
 //!   shard table contiguously (Rep-1/Rep-2 chunks share one table
 //!   traversal via `Factorizer::factorize_single_many`), fans the groups
@@ -37,9 +37,6 @@
 //!   bit-identical to the in-memory model. Version 2 also round-trips
 //!   the packed shard tables of installed codebooks, so loaded models
 //!   serve word-level scans warm from the first request.
-//! * **Legacy shim** ([`shim`]): the old closed `Request`/`Response`
-//!   enum pair survives as a deprecated shim implemented on the typed
-//!   ops, bit-identical to them (proptest-pinned).
 //!
 //! # Quickstart
 //!
@@ -106,7 +103,6 @@ mod model;
 pub mod ops;
 mod plan;
 mod registry;
-pub mod shim;
 
 pub use cache::{CacheStats, LruCache, ReconCache};
 pub use engine::FactorEngine;
@@ -126,8 +122,6 @@ pub use factorhd_learn::{
     ClassHit, Classification, LearnConfig, LearnError, Learner, PrototypeModel, PrototypeSnapshot,
     RetrainReport, TrainAck,
 };
-#[allow(deprecated)]
-pub use shim::{Request, Response};
 
 /// Convenient glob import of the serving-engine types.
 pub mod prelude {

@@ -239,7 +239,7 @@ impl OpTable {
 }
 
 /// One slot of the fixed per-model table: a registry generation, its
-/// completed-op count, and its learning-op counts. `generation ==
+/// executed-op count, and its learning-op counts. `generation ==
 /// EMPTY_SLOT` means unclaimed.
 struct ModelSlot {
     generation: AtomicU64,
@@ -397,8 +397,9 @@ fn model_slot_add(
     }
 }
 
-/// Counts `n` completed ops against a model `generation` (a registry
-/// stamp, or [`UNREGISTERED_GENERATION`] for plain engines). The table
+/// Counts `n` ops executed against a model `generation` (a registry
+/// stamp, or [`UNREGISTERED_GENERATION`] for plain engines), failed ones
+/// included. The table
 /// is fixed-size; once all [`MODEL_SLOTS`] are claimed by other
 /// generations, counts land in the snapshot's `model_overflow`.
 #[inline]
@@ -492,13 +493,13 @@ pub struct OpKindMetrics {
     pub latency_ns: HistogramSnapshot,
 }
 
-/// Completed-op count for one registry generation.
+/// Executed-op counts for one registry generation.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ModelMetrics {
     /// The registry generation stamp
     /// ([`UNREGISTERED_GENERATION`] = plain engines outside a registry).
     pub generation: u64,
-    /// Ops completed against that generation.
+    /// Ops executed against that generation, failed ones included.
     pub ops: u64,
     /// Train/Retrain ops counted against that generation (a subset of
     /// `ops`).
@@ -525,7 +526,7 @@ pub struct MetricsSnapshot {
     pub retrain_epochs: HistogramSnapshot,
     /// Exclusive per-stage wall-clock totals, in pipeline order.
     pub stages: Vec<StageTotal>,
-    /// Per-model completed-op counts, sorted by ascending generation.
+    /// Per-model executed-op counts, sorted by ascending generation.
     pub models: Vec<ModelMetrics>,
     /// Ops whose generation found no free slot (see [`MODEL_SLOTS`]).
     pub model_overflow: u64,
@@ -598,7 +599,7 @@ pub fn reset() {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use std::sync::Mutex;
 

@@ -26,9 +26,9 @@
 //! model's *staging* prototypes; readers keep classifying against the
 //! last published snapshot until the registry publishes a new one.
 //!
-//! [`AnyOp`] / [`AnyOutput`] are the transport form for *heterogeneous*
-//! batches (the planner groups them by [`OpKind`]); homogeneous batches
-//! keep full typing through [`crate::FactorEngine::run_batch`].
+//! [`AnyOp`] / [`AnyOutput`] are the transport form for batches (the
+//! planner groups them by [`OpKind`]); a single op keeps full typing
+//! through [`crate::FactorEngine::run`].
 
 use crate::{EngineError, ModelState};
 use factorhd_core::{
@@ -66,16 +66,6 @@ pub trait Op {
         Self: Sized,
     {
         ops.iter().map(|op| op.run(model)).collect()
-    }
-
-    /// Whether [`Op::run_many`] actually amortizes work across the batch
-    /// (`true` for the grouped-scan ops). The planner chunks groupable
-    /// ops and runs everything else one op per task.
-    fn groupable() -> bool
-    where
-        Self: Sized,
-    {
-        false
     }
 
     /// The [`OpKind`] discriminant of this op — the key the metrics layer
@@ -213,10 +203,6 @@ impl Op for FactorizeRep1 {
             .collect()
     }
 
-    fn groupable() -> bool {
-        true
-    }
-
     fn kind(&self) -> OpKind {
         OpKind::Rep1
     }
@@ -237,10 +223,6 @@ impl Op for FactorizeRep2 {
             .into_iter()
             .map(|r| r.map_err(EngineError::from))
             .collect()
-    }
-
-    fn groupable() -> bool {
-        true
     }
 
     fn kind(&self) -> OpKind {
@@ -325,10 +307,6 @@ impl Op for Train {
         })
     }
 
-    fn groupable() -> bool {
-        true
-    }
-
     fn kind(&self) -> OpKind {
         OpKind::Train
     }
@@ -403,8 +381,9 @@ impl OpKind {
         OpKind::Classify,
     ];
 
-    /// Whether ops of this kind share a grouped kernel (see
-    /// [`Op::groupable`]).
+    /// Whether ops of this kind share a grouped kernel (an [`Op::run_many`]
+    /// that amortizes work across the batch). The planner chunks
+    /// groupable kinds and runs everything else one op per task.
     pub fn groupable(self) -> bool {
         matches!(self, OpKind::Rep1 | OpKind::Rep2 | OpKind::Train)
     }

@@ -28,6 +28,11 @@
 //! zero-allocation scans — no scratch handles need to travel through the
 //! plan. Grouping same-kind ops onto one worker additionally keeps that
 //! worker's scratch sized for the op shape it keeps serving.
+//!
+//! This module is the engine's one execution path: `FactorEngine` and
+//! `ModelRegistry` both run batches through [`execute_batch_planned`],
+//! check them against [`execute_sequential`], and run single typed ops
+//! through [`run_one`].
 
 use crate::failpoint;
 use crate::metrics::{self, Stage, StageTimer};
@@ -59,7 +64,7 @@ type TaskOutput = (Vec<usize>, Vec<Result<AnyOutput, EngineError>>);
 /// Chunk boundaries never affect results: the grouped kernels are
 /// bit-identical to their per-op forms at any chunk size, so this is
 /// purely a scheduling decision.
-pub(crate) fn task_chunk(groupable: bool, len: usize, batch_chunk: usize) -> usize {
+fn task_chunk(groupable: bool, len: usize, batch_chunk: usize) -> usize {
     if !groupable {
         return 1;
     }
@@ -133,16 +138,106 @@ fn run_contained_group(
     }
 }
 
+/// A batch's model resolution, snapshotted once at entry: one slot per
+/// distinct model the batch names.
+#[derive(Default)]
+pub(crate) struct Slots {
+    /// Each slot's resolved state and generation; `None` when the id was
+    /// not installed.
+    pub(crate) models: Vec<Option<(Arc<ModelState>, u64)>>,
+    /// Each slot's model id, for [`EngineError::UnknownModel`].
+    pub(crate) names: Vec<String>,
+    /// The ids installed at resolution time, sorted — filled only when
+    /// some slot is unknown, since only that error lists them.
+    pub(crate) registered: Vec<String>,
+}
+
+impl Slots {
+    /// One slot serving `model` outside any registry.
+    pub(crate) fn one(model: &Arc<ModelState>) -> Self {
+        Slots {
+            models: vec![Some((Arc::clone(model), metrics::UNREGISTERED_GENERATION))],
+            names: vec![String::new()],
+            registered: Vec::new(),
+        }
+    }
+
+    fn unknown(&self, slot: usize) -> EngineError {
+        EngineError::UnknownModel {
+            name: self.names[slot].clone(),
+            registered: self.registered.clone(),
+        }
+    }
+}
+
+/// Runs a batch of slot-tagged ops against resolved [`Slots`]: the
+/// planner ([`execute_batch_planned`]) or its sequential reference
+/// ([`execute_sequential`]).
+pub(crate) type Executor = fn(&[(usize, &AnyOp)], &Slots) -> Vec<Result<AnyOutput, EngineError>>;
+
+/// Runs `ops` against one model through `execute`.
+pub(crate) fn execute_one_model(
+    model: &Arc<ModelState>,
+    ops: &[AnyOp],
+    execute: Executor,
+) -> Vec<Result<AnyOutput, EngineError>> {
+    let tagged: Vec<(usize, &AnyOp)> = ops.iter().map(|op| (0, op)).collect();
+    execute(&tagged, &Slots::one(model))
+}
+
+/// Counts `n` executed ops of `kind` in the per-model row of
+/// `generation`.
+fn record_model_row(generation: u64, kind: OpKind, n: u64) {
+    metrics::record_model_ops(generation, n);
+    match kind {
+        OpKind::Train | OpKind::Retrain => metrics::record_model_train_ops(generation, n),
+        OpKind::Classify => metrics::record_model_classify_ops(generation, n),
+        _ => {}
+    }
+}
+
+/// Runs one typed op with full accounting — submitted, latency,
+/// outcome, and the per-model row of `generation`.
+pub(crate) fn run_one<O: Op>(
+    state: &ModelState,
+    generation: u64,
+    op: &O,
+) -> Result<O::Output, EngineError> {
+    let kind = op.kind();
+    metrics::record_submitted(kind, 1);
+    let started = metrics::now();
+    let result = op.run(state);
+    if let Some(started) = started {
+        metrics::record_op_nanos(kind, started.elapsed().as_nanos() as u64);
+    }
+    metrics::record_outcomes(kind, result.is_ok() as u64, result.is_err() as u64);
+    record_model_row(generation, kind, 1);
+    result
+}
+
+/// The determinism reference for [`execute_batch_planned`]: one op at a
+/// time on the calling thread, no grouping — and deliberately
+/// uninstrumented, so reference comparisons never perturb the telemetry
+/// they are checked against.
+pub(crate) fn execute_sequential(
+    ops: &[(usize, &AnyOp)],
+    slots: &Slots,
+) -> Vec<Result<AnyOutput, EngineError>> {
+    ops.iter()
+        .map(|&(slot, op)| match &slots.models[slot] {
+            Some((state, _)) => op.run(state),
+            None => Err(slots.unknown(slot)),
+        })
+        .collect()
+}
+
 /// Executes `ops` — each tagged with the slot of the model it targets —
-/// grouped by `(slot, kind)`. `states[slot]` is the resolved model for
-/// that slot (`None` → every op of the slot fails with
-/// [`EngineError::UnknownModel`] naming `slot_names[slot]` and listing
-/// `registered`, the ids installed when the batch was snapshotted).
+/// grouped by `(slot, kind)` on the worker pool. Ops of an unknown slot
+/// fail with [`EngineError::UnknownModel`]; every other op counts in the
+/// per-model row of its slot's generation.
 pub(crate) fn execute_batch_planned(
     ops: &[(usize, &AnyOp)],
-    states: &[Option<Arc<ModelState>>],
-    slot_names: &[String],
-    registered: &[String],
+    slots: &Slots,
 ) -> Vec<Result<AnyOutput, EngineError>> {
     metrics::record_batch_size(ops.len() as u64);
     let plan_span = StageTimer::enter(Stage::Plan);
@@ -153,13 +248,10 @@ pub(crate) fn execute_batch_planned(
     // (and therefore task) order deterministic.
     let mut groups: BTreeMap<(usize, OpKind), Vec<usize>> = BTreeMap::new();
     for (i, (slot, op)) in ops.iter().enumerate() {
-        if states[*slot].is_none() {
+        if slots.models[*slot].is_none() {
             metrics::record_submitted(op.kind(), 1);
             metrics::record_outcomes(op.kind(), 0, 1);
-            results[i] = Some(Err(EngineError::UnknownModel {
-                name: slot_names[*slot].clone(),
-                registered: registered.to_vec(),
-            }));
+            results[i] = Some(Err(slots.unknown(*slot)));
             continue;
         }
         groups.entry((*slot, op.kind())).or_default().push(i);
@@ -169,24 +261,26 @@ pub(crate) fn execute_batch_planned(
     // otherwise. `batch_chunk` is already validated ≥ 1
     // ([`crate::EngineConfig::validate`] is the single point of truth —
     // no defensive clamping here).
-    let mut tasks: Vec<(usize, OpKind, Vec<usize>)> = Vec::new();
+    let mut tasks: Vec<(&ModelState, OpKind, Vec<usize>)> = Vec::new();
     for ((slot, kind), indices) in groups {
+        let (state, generation) = slots.models[slot]
+            .as_ref()
+            .expect("grouped slots are resolved");
         metrics::record_submitted(kind, indices.len() as u64);
-        let state = states[slot].as_ref().expect("grouped slots are resolved");
+        record_model_row(*generation, kind, indices.len() as u64);
         let chunk = task_chunk(kind.groupable(), indices.len(), state.config().batch_chunk);
         for piece in indices.chunks(chunk) {
             if kind.groupable() {
                 metrics::record_chunk_size(piece.len() as u64);
             }
-            tasks.push((slot, kind, piece.to_vec()));
+            tasks.push((state, kind, piece.to_vec()));
         }
     }
     drop(plan_span);
 
     let outputs: Vec<TaskOutput> = tasks
         .par_iter()
-        .map(|(slot, kind, indices)| {
-            let state = states[*slot].as_ref().expect("resolved");
+        .map(|(state, kind, indices)| {
             let refs: Vec<&AnyOp> = indices.iter().map(|&i| ops[i].1).collect();
             let started = metrics::now();
             let group_results = run_contained_group(state, *kind, &refs);
@@ -215,13 +309,4 @@ pub(crate) fn execute_batch_planned(
         .collect();
     drop(scatter_span);
     gathered
-}
-
-/// Single-model planner: every op targets `model`.
-pub(crate) fn execute_mixed(
-    model: &Arc<ModelState>,
-    ops: &[AnyOp],
-) -> Vec<Result<AnyOutput, EngineError>> {
-    let tagged: Vec<(usize, &AnyOp)> = ops.iter().map(|op| (0usize, op)).collect();
-    execute_batch_planned(&tagged, &[Some(Arc::clone(model))], &[String::new()], &[])
 }

@@ -10,7 +10,7 @@
 
 use crate::metrics::{self, MetricsSnapshot};
 use crate::ops::{AnyOp, AnyOutput, Op, OpKind};
-use crate::plan::execute_batch_planned;
+use crate::plan::{self, Executor, Slots};
 use crate::{EngineConfig, EngineError, ModelState};
 use parking_lot::RwLock;
 use std::collections::HashMap;
@@ -98,23 +98,7 @@ impl ModelHandle {
     ///
     /// The conditions of [`Op::run`].
     pub fn run<O: Op>(&self, op: &O) -> Result<O::Output, EngineError> {
-        let kind = op.kind();
-        metrics::record_submitted(kind, 1);
-        let started = metrics::now();
-        let result = op.run(&self.state);
-        if let Some(started) = started {
-            metrics::record_op_nanos(kind, started.elapsed().as_nanos() as u64);
-        }
-        metrics::record_outcomes(kind, result.is_ok() as u64, result.is_err() as u64);
-        metrics::record_model_ops(self.generation, 1);
-        match kind {
-            OpKind::Train | OpKind::Retrain => {
-                metrics::record_model_train_ops(self.generation, 1);
-            }
-            OpKind::Classify => metrics::record_model_classify_ops(self.generation, 1),
-            _ => {}
-        }
-        result
+        plan::run_one(&self.state, self.generation, op)
     }
 }
 
@@ -131,6 +115,22 @@ pub struct ModelInfo {
 struct Entry {
     state: Arc<ModelState>,
     generation: u64,
+}
+
+/// The error for `name` missing from `models`, listing the installed ids
+/// sorted.
+fn unknown_model(models: &HashMap<ModelId, Entry>, name: &str) -> EngineError {
+    EngineError::UnknownModel {
+        name: name.to_owned(),
+        registered: registered(models),
+    }
+}
+
+/// The installed ids, sorted.
+fn registered(models: &HashMap<ModelId, Entry>) -> Vec<String> {
+    let mut registered: Vec<String> = models.keys().map(|k| k.as_str().to_owned()).collect();
+    registered.sort();
+    registered
 }
 
 /// Named, hot-swappable models served through the typed op API.
@@ -233,15 +233,7 @@ impl ModelRegistry {
                 state: Arc::clone(&entry.state),
                 generation: entry.generation,
             }),
-            None => {
-                let mut registered: Vec<String> =
-                    guard.keys().map(|k| k.as_str().to_owned()).collect();
-                registered.sort();
-                Err(EngineError::UnknownModel {
-                    name: id.to_owned(),
-                    registered,
-                })
-            }
+            None => Err(unknown_model(&guard, id)),
         }
     }
 
@@ -277,15 +269,7 @@ impl ModelRegistry {
             // the learner is shared, so its next publish will carry any
             // training this snapshot saw — drop ours.
             Some(entry) => Ok(entry.generation),
-            None => {
-                let mut registered: Vec<String> =
-                    guard.keys().map(|k| k.as_str().to_owned()).collect();
-                registered.sort();
-                Err(EngineError::UnknownModel {
-                    name: id.to_owned(),
-                    registered,
-                })
-            }
+            None => Err(unknown_model(&guard, id)),
         }
     }
 
@@ -354,64 +338,58 @@ impl ModelRegistry {
     /// `(model, op kind)` so same-shape work scans each model's packed
     /// shards contiguously, then fanned out across the worker pool.
     /// Results come back in input order, **bit-identical** to
-    /// [`ModelRegistry::execute_sequential`]. Model resolution is
-    /// snapshotted once at entry, so a hot swap mid-batch cannot mix
-    /// generations within the batch; ops naming an unknown model fail
-    /// individually with [`EngineError::UnknownModel`].
+    /// [`ModelRegistry::execute_sequential`].
+    ///
+    /// Model resolution is snapshotted once at entry, so every op of the
+    /// batch — a `Classify` after a `Train` included — sees the
+    /// generation installed when the batch started; ops naming an unknown
+    /// model fail individually with [`EngineError::UnknownModel`]. Every
+    /// model that absorbed a successful `Train`/`Retrain` is published
+    /// once, after the batch.
     pub fn execute_batch(&self, ops: &[(ModelId, AnyOp)]) -> Vec<Result<AnyOutput, EngineError>> {
-        // Snapshot every distinct id under one read lock.
+        self.execute_with(ops, plan::execute_batch_planned)
+    }
+
+    /// The determinism reference for [`ModelRegistry::execute_batch`]:
+    /// the same resolve-once and publish-after semantics, with the ops
+    /// run one at a time on the calling thread and no telemetry recorded.
+    pub fn execute_sequential(
+        &self,
+        ops: &[(ModelId, AnyOp)],
+    ) -> Vec<Result<AnyOutput, EngineError>> {
+        self.execute_with(ops, plan::execute_sequential)
+    }
+
+    /// Resolves every model `ops` name once, runs them through `execute`,
+    /// then publishes each model a successful `Train`/`Retrain` touched.
+    fn execute_with(
+        &self,
+        ops: &[(ModelId, AnyOp)],
+        execute: Executor,
+    ) -> Vec<Result<AnyOutput, EngineError>> {
         let mut slot_of: HashMap<&ModelId, usize> = HashMap::new();
-        let mut states: Vec<Option<Arc<ModelState>>> = Vec::new();
-        let mut slot_names: Vec<String> = Vec::new();
-        let mut slot_generations: Vec<Option<u64>> = Vec::new();
-        let mut registered: Vec<String> = Vec::new();
+        let mut slots = Slots::default();
         {
             let guard = self.models.read();
             for (id, _) in ops {
-                if !slot_of.contains_key(id) {
-                    slot_of.insert(id, states.len());
+                slot_of.entry(id).or_insert_with(|| {
                     let entry = guard.get(id);
-                    states.push(entry.map(|e| Arc::clone(&e.state)));
-                    slot_generations.push(entry.map(|e| e.generation));
-                    slot_names.push(id.to_string());
-                }
+                    slots
+                        .models
+                        .push(entry.map(|e| (Arc::clone(&e.state), e.generation)));
+                    slots.names.push(id.to_string());
+                    slots.models.len() - 1
+                });
             }
-            // Only unknown-model errors name the registered set; snapshot
-            // it under the same lock so the error list matches the batch's
-            // resolution view.
-            if states.iter().any(|s| s.is_none()) {
-                registered = guard.keys().map(|k| k.as_str().to_owned()).collect();
-                registered.sort();
+            // Snapshot the registered set under the same lock, so an
+            // unknown-model error matches the batch's resolution view.
+            if slots.models.iter().any(Option::is_none) {
+                slots.registered = registered(&guard);
             }
         }
         let tagged: Vec<(usize, &AnyOp)> = ops.iter().map(|(id, op)| (slot_of[id], op)).collect();
-        if metrics::metrics_recording() {
-            let mut counts = vec![(0u64, 0u64, 0u64); states.len()];
-            for &(slot, op) in &tagged {
-                let entry = &mut counts[slot];
-                entry.0 += 1;
-                match op.kind() {
-                    OpKind::Train | OpKind::Retrain => entry.1 += 1,
-                    OpKind::Classify => entry.2 += 1,
-                    _ => {}
-                }
-            }
-            for (slot, (total, train, classify)) in counts.into_iter().enumerate() {
-                if let Some(generation) = slot_generations[slot] {
-                    metrics::record_model_ops(generation, total);
-                    if train > 0 {
-                        metrics::record_model_train_ops(generation, train);
-                    }
-                    if classify > 0 {
-                        metrics::record_model_classify_ops(generation, classify);
-                    }
-                }
-            }
-        }
-        let results = execute_batch_planned(&tagged, &states, &slot_names, &registered);
-        // Auto-publish: every model that absorbed at least one successful
-        // Train/Retrain gets a fresh snapshot under a new generation.
-        let mut trained = vec![false; states.len()];
+        let results = execute(&tagged, &slots);
+        let mut trained = vec![false; slots.models.len()];
         for (&(slot, op), result) in tagged.iter().zip(&results) {
             if matches!(op.kind(), OpKind::Train | OpKind::Retrain) && result.is_ok() {
                 trained[slot] = true;
@@ -419,21 +397,11 @@ impl ModelRegistry {
         }
         for (slot, trained) in trained.into_iter().enumerate() {
             if trained {
-                let _ = self.publish_prototypes(&slot_names[slot]);
+                // Best-effort, as in `run`.
+                let _ = self.publish_prototypes(&slots.names[slot]);
             }
         }
         results
-    }
-
-    /// The determinism reference for [`ModelRegistry::execute_batch`]:
-    /// one op at a time, each resolved and run on the calling thread.
-    pub fn execute_sequential(
-        &self,
-        ops: &[(ModelId, AnyOp)],
-    ) -> Vec<Result<AnyOutput, EngineError>> {
-        ops.iter()
-            .map(|(id, op)| self.run(id.as_str(), op))
-            .collect()
     }
 
     /// A copy-out of the process-global telemetry tables; the `models`
@@ -630,6 +598,107 @@ mod tests {
             registry.publish_prototypes("plain"),
             Err(EngineError::NotTrainable)
         ));
+    }
+
+    fn learnable(seed: u64) -> ModelState {
+        ModelState::new_learnable(
+            taxonomy(seed),
+            EngineConfig::default(),
+            factorhd_learn::LearnConfig::new(2, 64),
+        )
+        .expect("valid learnable state")
+    }
+
+    /// `Train` then `Classify` on one learnable model, with the
+    /// example as its own query.
+    fn train_then_classify(seed: u64) -> Vec<AnyOp> {
+        use crate::ops::{Classify, Train};
+        let mut rng = hdc::rng_from_seed(seed);
+        let mut example = hdc::AccumHv::zeros(64);
+        example.add_bipolar(&hdc::BipolarHv::random(64, &mut rng), 1);
+        vec![
+            AnyOp::Train(Train {
+                class: 1,
+                sample: 0,
+                example: example.clone(),
+                retain: true,
+            }),
+            AnyOp::Classify(Classify {
+                query: example,
+                top_k: 1,
+            }),
+        ]
+    }
+
+    #[test]
+    fn train_then_classify_batch_matches_sequential_reference() {
+        let ops: Vec<(ModelId, AnyOp)> = train_then_classify(74)
+            .into_iter()
+            .map(|op| (ModelId::new("tenant"), op))
+            .collect();
+        // Training mutates the model, so each path gets its own copy.
+        let batched_registry = ModelRegistry::new();
+        batched_registry.install("tenant", learnable(73));
+        let sequential_registry = ModelRegistry::new();
+        sequential_registry.install("tenant", learnable(73));
+
+        let batched = batched_registry.execute_batch(&ops);
+        let sequential = sequential_registry.execute_sequential(&ops);
+        assert_eq!(batched.len(), sequential.len());
+        for (i, (b, s)) in batched.iter().zip(&sequential).enumerate() {
+            match (
+                b.as_ref().expect("batch op"),
+                s.as_ref().expect("sequential op"),
+            ) {
+                // A TrainAck's running totals depend on interleaving.
+                (AnyOutput::Trained(x), AnyOutput::Trained(y)) => assert_eq!(x.class, y.class),
+                (x, y) => assert_eq!(x, y, "op {i}"),
+            }
+        }
+        // Both paths publish the training once, after the batch.
+        assert_eq!(
+            batched_registry.generation_of("tenant"),
+            sequential_registry.generation_of("tenant")
+        );
+    }
+
+    #[test]
+    fn run_mixed_and_execute_batch_count_learning_ops_alike() {
+        let _guard = metrics::tests::METRICS_LOCK.lock().unwrap();
+        if !metrics::metrics_recording() {
+            return; // metrics-off build: nothing is recorded
+        }
+        let ops = train_then_classify(75);
+        let learning_row = |generation: u64| {
+            metrics::snapshot()
+                .models
+                .into_iter()
+                .find(|row| row.generation == generation)
+                .map(|row| (row.train_ops, row.classify_ops))
+        };
+
+        metrics::reset();
+        let _ = crate::FactorEngine::from_state(learnable(76)).run_mixed(&ops);
+        let engine_row = learning_row(metrics::UNREGISTERED_GENERATION);
+
+        let registry = ModelRegistry::new();
+        let state = Arc::new(learnable(76));
+        // Step the clock past the generations other tests in this
+        // process stamp, so the row read below is this batch's alone.
+        for _ in 0..1000 {
+            registry.install_shared("tenant", Arc::clone(&state));
+        }
+        let generation = registry.generation_of("tenant").expect("installed");
+        let tagged: Vec<(ModelId, AnyOp)> = ops
+            .into_iter()
+            .map(|op| (ModelId::new("tenant"), op))
+            .collect();
+        let _ = registry.execute_batch(&tagged);
+        let registry_row = learning_row(generation);
+        metrics::reset();
+
+        assert_eq!(engine_row, Some((1, 1)));
+        assert_eq!(registry_row, engine_row);
     }
 
     #[test]

@@ -77,21 +77,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
     }
 
-    // 5. Homogeneous batches keep full typing: `run_batch` returns the
-    //    op's own output type, grouped through the shared level-1 scans.
+    // 5. A single op keeps full typing: `run` returns the op's own
+    //    output type, a `DecodedObject` here, with no enum to destructure.
     let mut rng = hdc::rng_from_seed(8);
-    let singles: Vec<FactorizeRep2> = (0..4)
-        .map(|_| {
-            let object = restored.taxonomy().sample_object(&mut rng);
-            Ok(FactorizeRep2 {
-                scene: Encoder::new(restored.taxonomy()).encode_scene(&Scene::single(object))?,
-            })
-        })
-        .collect::<Result<_, FactorHdError>>()?;
-    let decoded = restored.run_batch(&singles);
+    let object = restored.taxonomy().sample_object(&mut rng);
+    let scene = Encoder::new(restored.taxonomy()).encode_scene(&Scene::single(object.clone()))?;
+    let decoded = restored.run(&FactorizeRep2 { scene })?;
     println!(
-        "\ntyped run_batch: {} DecodedObjects, no enum to destructure",
-        decoded.len()
+        "\ntyped run: {} (recovered: {})",
+        decoded.object(),
+        decoded.object() == &object
     );
 
     // 6. Caches are shared across the whole batch.
