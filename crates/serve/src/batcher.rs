@@ -1,28 +1,31 @@
-//! The deadline-or-full adaptive batcher: coalesces in-flight requests
-//! from many connections into engine batches.
+//! The work-conserving batcher: coalesces in-flight requests from many
+//! connections into engine batches.
 //!
 //! Requests enqueue into a shared queue; a dedicated worker thread
-//! dispatches the queue to [`ModelRegistry::execute_batch`] when either
-//! trigger fires, whichever comes first:
-//!
-//! * **full** — the queue holds `max_batch` requests, or
-//! * **deadline** — the oldest queued request has waited `max_delay`.
-//!
-//! Bigger coalesced batches are strictly better warm (the engine's
-//! planner groups same-shape ops into contiguous packed-shard scans),
-//! so under load the batcher converges on full `max_batch` dispatches;
-//! under trickle traffic the deadline bounds each request's queueing
-//! delay. Shutdown flushes: every queued request is dispatched (in
-//! `max_batch` chunks) before the worker exits, so no accepted request
-//! is ever dropped.
+//! drains up to `max_batch` of them into
+//! [`ModelRegistry::execute_batch`] as soon as the queue is non-empty.
+//! There is no timer: a request that finds the engine idle dispatches
+//! at once, and requests that arrive while a batch runs form the next
+//! one. Under load the queue refills faster than the engine drains it,
+//! so batches grow on their own toward `max_batch` (the planner groups
+//! same-shape ops into contiguous packed-shard scans, so bigger batches
+//! are cheaper per op); at low load no request waits for company. A
+//! connection submits every frame one socket read delivered as one
+//! burst (one lock, one wake-up), so a worker woken by a burst's first
+//! request never runs it alone; and before taking a queue shorter than
+//! `max_batch` the worker yields its core once, so connection threads
+//! that are already runnable can land their bursts first (with none
+//! runnable the yield returns at once). Shutdown flushes: every queued
+//! request is dispatched (in `max_batch` chunks) before the worker
+//! exits, so no accepted request is ever dropped.
 //!
 //! Two robustness policies live here (docs/ROBUSTNESS.md):
 //!
 //! * **Admission control** — the queue is bounded at
-//!   [`BatcherConfig::max_queue`]; [`Batcher::submit`] refuses beyond
-//!   it ([`SubmitOutcome::Overloaded`]) so an overloaded server answers
-//!   a typed `Overloaded` error in microseconds instead of building an
-//!   unbounded backlog whose every entry times out.
+//!   [`BatcherConfig::max_queue`]; [`Batcher::submit`] answers the part
+//!   of a burst beyond it with a typed `Overloaded` error in
+//!   microseconds instead of building an unbounded backlog whose every
+//!   entry times out.
 //! * **Deadline enforcement** — a request that carried a deadline and
 //!   is still queued when it expires is answered
 //!   `DeadlineExceeded` at dequeue, without executing: the client has
@@ -31,17 +34,17 @@
 //!
 //! The queue uses `std::sync` primitives (the vendored `parking_lot`
 //! shim has no condvar) — one mutex + condvar pair, with the worker
-//! sleeping on `wait_timeout` until the oldest request's deadline.
-//! Lock poisoning is recovered (`into_inner`): the queue is plain data
-//! that stays structurally valid, and the batcher must keep serving
-//! even if a thread panicked while holding the lock.
+//! sleeping untimed while the queue is empty. Lock poisoning is
+//! recovered (`into_inner`): the queue is plain data that stays
+//! structurally valid, and the batcher must keep serving even if a
+//! thread panicked while holding the lock.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use factorhd_engine::{failpoint, AnyOp, EngineError, ModelId, ModelRegistry};
 
@@ -49,47 +52,29 @@ use crate::error::ErrorCode;
 use crate::metrics::ServeMetrics;
 use crate::protocol::Response;
 
-/// Knobs for the deadline-or-full dispatch policy.
+/// Knobs for the work-conserving dispatch policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BatcherConfig {
-    /// Dispatch as soon as this many requests are queued. `1` degrades
-    /// to pass-through (every request is its own engine batch).
+    /// Most requests one engine batch takes from the queue. `1`
+    /// degrades to pass-through (every request is its own engine
+    /// batch).
     pub max_batch: usize,
-    /// Dispatch when the oldest queued request has waited this long,
-    /// even if the batch is not full. `Duration::ZERO` dispatches on
-    /// every enqueue.
-    pub max_delay: Duration,
-    /// Admission bound: [`Batcher::submit`] refuses
-    /// ([`SubmitOutcome::Overloaded`]) while this many requests are
-    /// already queued. Sized in requests, not bytes — the queue holds
-    /// decoded ops, so the byte bound is `max_queue × max_frame_bytes`.
+    /// Admission bound: requests arriving while this many are already
+    /// queued are refused and answered `Overloaded`. Sized in requests,
+    /// not bytes — the queue holds decoded ops, so the byte bound is
+    /// `max_queue × max_frame_bytes`.
     pub max_queue: usize,
 }
 
 impl Default for BatcherConfig {
     /// `max_batch` 64 (the warm sweet spot in BENCH_engine.json),
-    /// `max_delay` 2 ms, `max_queue` 1024 (16 full batches of headroom
-    /// before shedding).
+    /// `max_queue` 1024 (16 full batches of headroom before shedding).
     fn default() -> Self {
         BatcherConfig {
             max_batch: 64,
-            max_delay: Duration::from_millis(2),
             max_queue: 1024,
         }
     }
-}
-
-/// What [`Batcher::submit`] did with a request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum SubmitOutcome {
-    /// Queued; a response will arrive on the reply channel.
-    Accepted,
-    /// Refused: the queue is at `max_queue`. The op did not execute and
-    /// no response will arrive — the caller answers `Overloaded`.
-    Overloaded,
-    /// Refused: the batcher has shut down. The caller answers
-    /// `Shutdown`.
-    ShuttingDown,
 }
 
 /// One queued request: the op, its routing metadata, and the channel
@@ -111,6 +96,20 @@ pub(crate) struct Pending {
     pub reply: mpsc::Sender<Outgoing>,
 }
 
+impl Pending {
+    /// Answers this request with a typed error, without executing it.
+    fn refuse(self, code: ErrorCode, message: &str) {
+        let _ = self.reply.send(Outgoing {
+            request_id: self.request_id,
+            received_at: self.received_at,
+            response: Response::Error {
+                code,
+                message: message.into(),
+            },
+        });
+    }
+}
+
 /// One response ready to be written back to a connection.
 pub(crate) struct Outgoing {
     /// Echoed request id.
@@ -130,6 +129,7 @@ struct Shared {
     queue: Mutex<Queue>,
     wake: Condvar,
     config: BatcherConfig,
+    metrics: Arc<ServeMetrics>,
 }
 
 impl Shared {
@@ -150,6 +150,9 @@ pub(crate) struct Batcher {
     /// user-facing count lives in [`ServeMetrics`]).
     #[cfg_attr(not(test), allow(dead_code))]
     dispatched: Arc<AtomicU64>,
+    /// Non-empty bursts submitted so far (test observability).
+    #[cfg(test)]
+    submissions: AtomicU64,
 }
 
 impl Batcher {
@@ -169,11 +172,10 @@ impl Batcher {
             wake: Condvar::new(),
             config: BatcherConfig {
                 max_batch: config.max_batch.max(1),
-                max_delay: config.max_delay,
-                // The queue must hold at least one full batch or the
-                // full trigger could never fire.
+                // An idle server always admits at least one full batch.
                 max_queue: config.max_queue.max(config.max_batch.max(1)),
             },
+            metrics,
         });
         let dispatched = Arc::new(AtomicU64::new(0));
         let worker = {
@@ -181,37 +183,61 @@ impl Batcher {
             let dispatched = Arc::clone(&dispatched);
             thread::Builder::new()
                 .name("factorhd-batcher".into())
-                .spawn(move || worker_loop(&shared, &registry, &metrics, &dispatched))?
+                .spawn(move || worker_loop(&shared, &registry, &dispatched))?
         };
         Ok(Batcher {
             shared,
             worker: Mutex::new(Some(worker)),
             dispatched,
+            #[cfg(test)]
+            submissions: AtomicU64::new(0),
         })
     }
 
-    /// Enqueues one request, refusing typed-ly when the queue is at its
-    /// admission bound or the batcher has shut down (the request is
-    /// dropped and no reply will arrive in either refusal case).
-    pub(crate) fn submit(&self, pending: Pending) -> SubmitOutcome {
-        let mut queue = self.shared.lock_queue();
-        if queue.shutdown {
-            return SubmitOutcome::ShuttingDown;
+    /// Enqueues `burst` in order under one lock with one wake-up,
+    /// leaving it empty. Requests beyond the admission bound are
+    /// answered `Overloaded` (and counted as shed), and all of them are
+    /// answered `Shutdown` once the batcher has shut down; neither kind
+    /// executes.
+    pub(crate) fn submit(&self, burst: &mut Vec<Pending>) {
+        if burst.is_empty() {
+            return;
         }
-        if queue.pending.len() >= self.shared.config.max_queue {
-            return SubmitOutcome::Overloaded;
+        #[cfg(test)]
+        self.submissions.fetch_add(1, Ordering::Relaxed);
+        let max_queue = self.shared.config.max_queue;
+        let (code, message) = {
+            let mut queue = self.shared.lock_queue();
+            if queue.shutdown {
+                (ErrorCode::Shutdown, "server is shutting down")
+            } else {
+                let room = max_queue.saturating_sub(queue.pending.len());
+                queue.pending.extend(burst.drain(..room.min(burst.len())));
+                self.shared.wake.notify_one();
+                (
+                    ErrorCode::Overloaded,
+                    "server overloaded: admission queue full; op not executed",
+                )
+            }
+        };
+        for refused in burst.drain(..) {
+            if code == ErrorCode::Overloaded {
+                self.shared.metrics.request_shed();
+            }
+            refused.refuse(code, message);
         }
-        queue.pending.push_back(pending);
-        // Wake the worker: it either dispatches (batch now full) or
-        // re-arms its deadline timer for the new oldest request.
-        self.shared.wake.notify_one();
-        SubmitOutcome::Accepted
     }
 
     /// Engine batches dispatched so far (test observability).
     #[cfg(test)]
     pub(crate) fn batches_dispatched(&self) -> u64 {
         self.dispatched.load(Ordering::Relaxed)
+    }
+
+    /// Non-empty bursts submitted so far (test observability).
+    #[cfg(test)]
+    pub(crate) fn submissions(&self) -> u64 {
+        self.submissions.load(Ordering::Relaxed)
     }
 
     /// Flushes every queued request and stops the worker. Idempotent.
@@ -238,57 +264,37 @@ impl Drop for Batcher {
     }
 }
 
-fn worker_loop(
-    shared: &Shared,
-    registry: &ModelRegistry,
-    metrics: &ServeMetrics,
-    dispatched: &AtomicU64,
-) {
-    let max_batch = shared.config.max_batch;
-    let max_delay = shared.config.max_delay;
+fn worker_loop(shared: &Shared, registry: &ModelRegistry, dispatched: &AtomicU64) {
     loop {
         let batch: Vec<Pending> = {
-            let mut queue = shared.lock_queue();
-            loop {
-                if queue.pending.len() >= max_batch || queue.shutdown {
-                    break;
-                }
-                match queue.pending.front() {
-                    None => {
-                        queue = shared
-                            .wake
-                            .wait(queue)
-                            .unwrap_or_else(|poisoned| poisoned.into_inner());
-                    }
-                    Some(oldest) => {
-                        let deadline = oldest.received_at + max_delay;
-                        let now = Instant::now();
-                        if now >= deadline {
-                            break;
-                        }
-                        let (guard, _) = shared
-                            .wake
-                            .wait_timeout(queue, deadline - now)
-                            .unwrap_or_else(|poisoned| poisoned.into_inner());
-                        queue = guard;
-                    }
-                }
-            }
+            let queue = shared.lock_queue();
+            let mut queue = shared
+                .wake
+                .wait_while(queue, |queue| queue.pending.is_empty() && !queue.shutdown)
+                .unwrap_or_else(|poisoned| poisoned.into_inner());
             if queue.pending.is_empty() {
-                debug_assert!(queue.shutdown, "woke with empty queue outside shutdown");
+                // Shut down with nothing left to flush.
                 return;
             }
-            let take = queue.pending.len().min(max_batch);
+            if queue.pending.len() < shared.config.max_batch {
+                // A short queue may be bursts still landing: give the
+                // connection threads already runnable one turn to
+                // submit. With none runnable the yield returns at once.
+                drop(queue);
+                thread::yield_now();
+                queue = shared.lock_queue();
+            }
+            let take = queue.pending.len().min(shared.config.max_batch);
             queue.pending.drain(..take).collect()
         };
-        // Chaos site: lets fault-injection tests hold the queue at its
-        // admission bound deterministically (the worker sleeps here,
-        // outside the lock, so `submit` keeps refusing typed-ly).
-        failpoint::sleep("serve/batcher_stall");
         // Count before dispatching so an observer that has already
         // received a reply sees the batch that produced it.
         dispatched.fetch_add(1, Ordering::Relaxed);
-        dispatch(registry, metrics, batch);
+        // Chaos site: holds the worker with this batch taken, outside
+        // the lock, so tests can fill the queue deterministically
+        // (`submit` keeps admitting, then refusing typed-ly).
+        failpoint::sleep("serve/batcher_stall");
+        dispatch(registry, &shared.metrics, batch);
     }
 }
 
@@ -303,14 +309,10 @@ fn dispatch(registry: &ModelRegistry, metrics: &ServeMetrics, batch: Vec<Pending
     for pending in batch {
         if pending.deadline.is_some_and(|deadline| now >= deadline) {
             metrics.deadline_expired();
-            let _ = pending.reply.send(Outgoing {
-                request_id: pending.request_id,
-                received_at: pending.received_at,
-                response: Response::Error {
-                    code: ErrorCode::DeadlineExceeded,
-                    message: "deadline expired while queued; op not executed".into(),
-                },
-            });
+            pending.refuse(
+                ErrorCode::DeadlineExceeded,
+                "deadline expired while queued; op not executed",
+            );
             continue;
         }
         ops.push((ModelId::new(&pending.model), pending.op));
@@ -354,22 +356,26 @@ fn engine_error_code(err: &EngineError) -> ErrorCode {
     }
 }
 
-/// The result of draining one reply receiver after `n` submissions.
-#[cfg(test)]
-fn expect_outputs(rx: &mpsc::Receiver<Outgoing>, n: usize) -> Vec<Outgoing> {
-    (0..n)
-        .map(|_| {
-            rx.recv_timeout(Duration::from_secs(10))
-                .expect("response within timeout")
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use factorhd_core::TaxonomyBuilder;
+    use factorhd_engine::failpoint::FailMode;
     use factorhd_engine::{EncodeScene, EngineConfig, ModelState};
+    use std::sync::MutexGuard;
+    use std::time::Duration;
+
+    /// Serializes the tests that arm the (process-global)
+    /// `serve/batcher_stall` failpoint.
+    static STALL_FAILPOINT: Mutex<()> = Mutex::new(());
+
+    /// How long a held worker stalls: far longer than submitting a
+    /// handful of requests takes, so everything submitted behind the
+    /// primer is queued before the worker drains again.
+    const HOLD: Duration = Duration::from_millis(300);
+
+    /// Request id of the request that holds the worker.
+    const PRIMER: u64 = u64::MAX;
 
     fn test_registry() -> Arc<ModelRegistry> {
         let registry = Arc::new(ModelRegistry::new());
@@ -410,39 +416,127 @@ mod tests {
         }
     }
 
-    fn batcher(registry: &Arc<ModelRegistry>, config: BatcherConfig) -> Batcher {
-        Batcher::new(Arc::clone(registry), config, Arc::new(ServeMetrics::new()))
-            .expect("spawn batcher worker")
+    fn submit_one(batcher: &Batcher, pending: Pending) {
+        batcher.submit(&mut vec![pending]);
     }
 
-    /// Full trigger: `max_batch` requests with a far-off deadline
-    /// dispatch as one batch, without waiting out the delay.
-    #[test]
-    fn full_batch_dispatches_without_deadline() {
-        let registry = test_registry();
-        let batcher = batcher(
-            &registry,
+    /// The typed error code of a refused or failed reply.
+    fn error_code(reply: &Outgoing) -> ErrorCode {
+        match &reply.response {
+            Response::Error { code, .. } => *code,
+            other => panic!("expected an error reply, got {other:?}"),
+        }
+    }
+
+    fn batcher(registry: &Arc<ModelRegistry>, max_batch: usize, max_queue: usize) -> Batcher {
+        Batcher::new(
+            Arc::clone(registry),
             BatcherConfig {
-                max_batch: 4,
-                max_delay: Duration::from_secs(3600),
-                max_queue: 4096,
+                max_batch,
+                max_queue,
             },
-        );
+            Arc::new(ServeMetrics::new()),
+        )
+        .expect("spawn batcher worker")
+    }
+
+    /// Drains `n` replies from one receiver.
+    fn expect_outputs(rx: &mpsc::Receiver<Outgoing>, n: usize) -> Vec<Outgoing> {
+        (0..n)
+            .map(|_| {
+                rx.recv_timeout(Duration::from_secs(10))
+                    .expect("response within timeout")
+            })
+            .collect()
+    }
+
+    /// A batcher whose worker is held in `serve/batcher_stall` with a
+    /// primer request taken, so whatever is submitted next queues up
+    /// behind it. The failpoint stays armed until [`Held::release`].
+    struct Held {
+        batcher: Batcher,
+        op: AnyOp,
+        tx: mpsc::Sender<Outgoing>,
+        rx: mpsc::Receiver<Outgoing>,
+        _guard: MutexGuard<'static, ()>,
+    }
+
+    fn held(max_batch: usize, max_queue: usize) -> Held {
+        let guard = STALL_FAILPOINT
+            .lock()
+            .unwrap_or_else(|poisoned| poisoned.into_inner());
+        let registry = test_registry();
+        failpoint::arm("serve/batcher_stall", FailMode::Sleep(HOLD));
+        let batcher = batcher(&registry, max_batch, max_queue);
         let op = encode_op(&registry);
         let (tx, rx) = mpsc::channel();
+        submit_one(&batcher, pending(&op, PRIMER, &tx));
         let start = Instant::now();
-        for id in 0..4 {
-            assert_eq!(
-                batcher.submit(pending(&op, id, &tx)),
-                SubmitOutcome::Accepted
-            );
+        while batcher.batches_dispatched() == 0 {
+            assert!(start.elapsed() < HOLD, "worker never took the primer");
+            thread::yield_now();
         }
-        let replies = expect_outputs(&rx, 4);
-        assert!(
-            start.elapsed() < Duration::from_secs(600),
-            "dispatch must not wait out the one-hour deadline"
-        );
-        assert_eq!(batcher.batches_dispatched(), 1, "one coalesced batch");
+        Held {
+            batcher,
+            op,
+            tx,
+            rx,
+            _guard: guard,
+        }
+    }
+
+    impl Held {
+        /// Checks the worker is still on the primer (so every request
+        /// submitted so far is queued behind it), disarms the stall,
+        /// and returns every reply but the primer's.
+        fn release(&self, replies: usize) -> Vec<Outgoing> {
+            assert_eq!(
+                self.batcher.batches_dispatched(),
+                1,
+                "the worker drained again inside the hold"
+            );
+            failpoint::disarm("serve/batcher_stall");
+            let mut out = expect_outputs(&self.rx, replies + 1);
+            out.retain(|reply| reply.request_id != PRIMER);
+            out
+        }
+
+        /// Batches dispatched after the primer's.
+        fn batches_after_primer(&self) -> u64 {
+            self.batcher.batches_dispatched() - 1
+        }
+    }
+
+    impl Drop for Held {
+        /// A failed assertion must not leave the worker stall armed for
+        /// the tests that run after it.
+        fn drop(&mut self) {
+            failpoint::disarm("serve/batcher_stall");
+        }
+    }
+
+    /// Coalescing: `n` requests submitted one at a time while the
+    /// worker is busy go out as `ceil(n / max_batch)` batches.
+    #[test]
+    fn held_requests_coalesce_into_full_batches() {
+        let held = held(4, 4096);
+        for id in 0..10 {
+            submit_one(&held.batcher, pending(&held.op, id, &held.tx));
+        }
+        assert_eq!(held.release(10).len(), 10);
+        assert_eq!(held.batches_after_primer(), 10u64.div_ceil(4));
+    }
+
+    /// A full batch's worth queued behind a busy worker dispatches as
+    /// one batch, and every request in it is answered.
+    #[test]
+    fn full_batch_dispatches_as_one() {
+        let held = held(4, 4096);
+        for id in 0..4 {
+            submit_one(&held.batcher, pending(&held.op, id, &held.tx));
+        }
+        let replies = held.release(4);
+        assert_eq!(held.batches_after_primer(), 1, "one coalesced batch");
         let mut ids: Vec<u64> = replies.iter().map(|o| o.request_id).collect();
         ids.sort_unstable();
         assert_eq!(ids, vec![0, 1, 2, 3]);
@@ -451,68 +545,44 @@ mod tests {
         }
     }
 
-    /// Deadline trigger: a lone request dispatches once `max_delay`
-    /// elapses, even though the batch never fills.
+    /// Work conservation: a lone request on an idle batcher dispatches
+    /// at once as a batch of one — nothing waits for the batch to fill.
     #[test]
-    fn lone_request_dispatches_at_deadline() {
+    fn lone_request_dispatches_without_waiting() {
         let registry = test_registry();
-        let batcher = batcher(
-            &registry,
-            BatcherConfig {
-                max_batch: 64,
-                max_delay: Duration::from_millis(20),
-                max_queue: 4096,
-            },
-        );
+        let batcher = batcher(&registry, 64, 4096);
         let op = encode_op(&registry);
         let (tx, rx) = mpsc::channel();
-        let submitted = Instant::now();
-        assert_eq!(
-            batcher.submit(pending(&op, 42, &tx)),
-            SubmitOutcome::Accepted
-        );
+        submit_one(&batcher, pending(&op, 42, &tx));
         let reply = expect_outputs(&rx, 1).pop().expect("one reply");
-        assert!(
-            submitted.elapsed() >= Duration::from_millis(20),
-            "lone request must wait for the deadline, not dispatch eagerly"
-        );
         assert_eq!(reply.request_id, 42);
         assert!(matches!(reply.response, Response::Output(_)));
+        assert_eq!(batcher.batches_dispatched(), 1);
     }
 
-    /// Shutdown flush: requests still queued (deadline far away, batch
-    /// not full) are all dispatched before the worker exits.
+    /// Shutdown flush: requests still queued behind a busy worker are
+    /// all dispatched before the worker exits.
     #[test]
     fn shutdown_flushes_queued_requests() {
-        let registry = test_registry();
-        let batcher = batcher(
-            &registry,
-            BatcherConfig {
-                max_batch: 64,
-                max_delay: Duration::from_secs(3600),
-                max_queue: 4096,
-            },
-        );
-        let op = encode_op(&registry);
-        let (tx, rx) = mpsc::channel();
+        let held = held(64, 4096);
         for id in 0..5 {
-            assert_eq!(
-                batcher.submit(pending(&op, id, &tx)),
-                SubmitOutcome::Accepted
-            );
+            submit_one(&held.batcher, pending(&held.op, id, &held.tx));
         }
-        batcher.shutdown();
-        let mut ids: Vec<u64> = expect_outputs(&rx, 5)
+        assert_eq!(held.batcher.batches_dispatched(), 1, "still held");
+        failpoint::disarm("serve/batcher_stall");
+        held.batcher.shutdown();
+        let mut ids: Vec<u64> = expect_outputs(&held.rx, 6)
             .iter()
             .map(|o| o.request_id)
+            .filter(|&id| id != PRIMER)
             .collect();
         ids.sort_unstable();
         assert_eq!(ids, vec![0, 1, 2, 3, 4], "flush may not drop requests");
-        // After shutdown, submissions are refused.
-        assert_eq!(
-            batcher.submit(pending(&op, 99, &tx)),
-            SubmitOutcome::ShuttingDown
-        );
+        // After shutdown, submissions are answered `Shutdown`, unexecuted.
+        submit_one(&held.batcher, pending(&held.op, 99, &held.tx));
+        let refused = expect_outputs(&held.rx, 1).pop().expect("one reply");
+        assert_eq!(refused.request_id, 99);
+        assert_eq!(error_code(&refused), ErrorCode::Shutdown);
     }
 
     /// `max_batch = 1` degenerates to pass-through: every request is
@@ -520,21 +590,11 @@ mod tests {
     #[test]
     fn max_batch_one_is_pass_through() {
         let registry = test_registry();
-        let batcher = batcher(
-            &registry,
-            BatcherConfig {
-                max_batch: 1,
-                max_delay: Duration::from_secs(3600),
-                max_queue: 4096,
-            },
-        );
+        let batcher = batcher(&registry, 1, 4096);
         let op = encode_op(&registry);
         let (tx, rx) = mpsc::channel();
         for id in 0..3 {
-            assert_eq!(
-                batcher.submit(pending(&op, id, &tx)),
-                SubmitOutcome::Accepted
-            );
+            submit_one(&batcher, pending(&op, id, &tx));
             let reply = expect_outputs(&rx, 1).pop().expect("one reply");
             assert_eq!(reply.request_id, id);
         }
@@ -550,73 +610,40 @@ mod tests {
     #[test]
     fn unknown_model_yields_typed_error() {
         let registry = test_registry();
-        let batcher = batcher(
-            &registry,
-            BatcherConfig {
-                max_batch: 1,
-                max_delay: Duration::ZERO,
-                max_queue: 4096,
-            },
-        );
+        let batcher = batcher(&registry, 1, 4096);
         let op = encode_op(&registry);
         let (tx, rx) = mpsc::channel();
         let mut missing = pending(&op, 7, &tx);
         missing.model = "no-such-model".into();
-        assert_eq!(batcher.submit(missing), SubmitOutcome::Accepted);
+        submit_one(&batcher, missing);
         let reply = expect_outputs(&rx, 1).pop().expect("one reply");
-        match &reply.response {
-            Response::Error { code, .. } => assert_eq!(*code, ErrorCode::UnknownModel),
-            other => panic!("expected error, got {other:?}"),
-        }
+        assert_eq!(error_code(&reply), ErrorCode::UnknownModel);
     }
 
-    /// Admission control: with the worker stalled, submissions beyond
-    /// `max_queue` are refused as `Overloaded`, and every accepted
-    /// request is still answered once the stall clears.
-    /// Serializes the tests that arm the (process-global)
-    /// `serve/batcher_stall` failpoint.
-    static STALL_FAILPOINT: Mutex<()> = Mutex::new(());
-
+    /// Admission control: with the worker held, a burst is admitted up
+    /// to `max_queue`; the rest is answered `Overloaded` at once, never
+    /// executed, and counted as shed. Every accepted request is still
+    /// answered.
     #[test]
     fn queue_at_capacity_refuses_overloaded() {
-        let _guard = STALL_FAILPOINT
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
-        let registry = test_registry();
-        failpoint::arm(
-            "serve/batcher_stall",
-            factorhd_engine::failpoint::FailMode::Sleep(Duration::from_millis(100)),
-        );
-        let batcher = batcher(
-            &registry,
-            BatcherConfig {
-                max_batch: 2,
-                max_delay: Duration::ZERO,
-                max_queue: 3,
-            },
-        );
-        let op = encode_op(&registry);
-        let (tx, rx) = mpsc::channel();
-        // The worker grabs up to max_batch then stalls 100 ms; keep
-        // submitting until the queue itself reports full.
-        let mut accepted = 0u64;
-        let mut shed = 0u64;
-        for id in 0..64 {
-            match batcher.submit(pending(&op, id, &tx)) {
-                SubmitOutcome::Accepted => accepted += 1,
-                SubmitOutcome::Overloaded => shed += 1,
-                SubmitOutcome::ShuttingDown => panic!("not shutting down"),
-            }
+        let held = held(2, 3);
+        let mut burst: Vec<Pending> = (0..10).map(|id| pending(&held.op, id, &held.tx)).collect();
+        held.batcher.submit(&mut burst);
+        assert!(burst.is_empty(), "submit consumes the whole burst");
+        let shed = expect_outputs(&held.rx, 7);
+        for reply in &shed {
+            assert_eq!(error_code(reply), ErrorCode::Overloaded);
         }
-        failpoint::disarm("serve/batcher_stall");
-        assert!(shed > 0, "64 submissions into a 3-deep queue must shed");
-        // Every *accepted* request is answered — sheds are the caller's
-        // to answer, and none of them ever reach the queue.
-        let replies = expect_outputs(&rx, accepted as usize);
-        assert_eq!(replies.len() as u64, accepted);
+        let mut ids: Vec<u64> = shed.iter().map(|o| o.request_id).collect();
+        ids.sort_unstable();
+        assert_eq!(ids, (3..10).collect::<Vec<_>>(), "the tail is refused");
+        assert_eq!(held.batcher.shared.metrics.stats().requests_shed, 7);
+        let mut ids: Vec<u64> = held.release(3).iter().map(|o| o.request_id).collect();
+        ids.sort_unstable();
+        assert_eq!(ids, vec![0, 1, 2]);
         assert!(
-            rx.recv_timeout(Duration::from_millis(50)).is_err(),
-            "no replies beyond the accepted count"
+            held.rx.recv_timeout(Duration::from_millis(50)).is_err(),
+            "no replies beyond one per request"
         );
     }
 
@@ -625,41 +652,18 @@ mod tests {
     /// a fresh one in the same batch still runs.
     #[test]
     fn expired_deadline_is_answered_at_dequeue() {
-        let _guard = STALL_FAILPOINT
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
-        let registry = test_registry();
-        failpoint::arm(
-            "serve/batcher_stall",
-            factorhd_engine::failpoint::FailMode::Sleep(Duration::from_millis(30)),
-        );
-        let batcher = batcher(
-            &registry,
-            BatcherConfig {
-                max_batch: 2,
-                max_delay: Duration::ZERO,
-                max_queue: 4096,
-            },
-        );
-        let op = encode_op(&registry);
-        let (tx, rx) = mpsc::channel();
-        let mut expired = pending(&op, 1, &tx);
-        // Already expired when dispatched (the stall guarantees ≥30 ms
-        // in queue against a 1 ms budget).
+        let held = held(2, 4096);
+        let mut expired = pending(&held.op, 1, &held.tx);
+        // Already expired when dispatched: the hold keeps it queued far
+        // past its 1 ms budget.
         expired.deadline = Some(Instant::now() + Duration::from_millis(1));
-        let fresh = pending(&op, 2, &tx);
-        assert_eq!(batcher.submit(expired), SubmitOutcome::Accepted);
-        assert_eq!(batcher.submit(fresh), SubmitOutcome::Accepted);
-        let replies = expect_outputs(&rx, 2);
-        failpoint::disarm("serve/batcher_stall");
+        let fresh = pending(&held.op, 2, &held.tx);
+        held.batcher.submit(&mut vec![expired, fresh]);
+        let replies = held.release(2);
+        assert_eq!(held.batches_after_primer(), 1, "one batch holds both");
         for reply in &replies {
             match reply.request_id {
-                1 => match &reply.response {
-                    Response::Error { code, .. } => {
-                        assert_eq!(*code, ErrorCode::DeadlineExceeded)
-                    }
-                    other => panic!("expected deadline error, got {other:?}"),
-                },
+                1 => assert_eq!(error_code(reply), ErrorCode::DeadlineExceeded),
                 2 => assert!(matches!(reply.response, Response::Output(_))),
                 id => panic!("unexpected request id {id}"),
             }

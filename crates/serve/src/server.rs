@@ -1,5 +1,5 @@
 //! The threaded TCP server: accept loop, per-connection reader/writer
-//! threads, and the shared adaptive batcher.
+//! threads, and the shared batcher.
 //!
 //! # Thread anatomy
 //!
@@ -14,11 +14,13 @@
 //! ```
 //!
 //! Each connection gets one reader and one writer thread joined by an
-//! mpsc channel; the batcher worker holds a clone of that channel's
-//! sender for every in-flight op, so responses are scattered back to
-//! the right connection by construction. The writer drains its channel
-//! greedily and flushes once per drain, so a coalesced batch's worth of
-//! responses to one client goes out in few syscalls.
+//! mpsc channel. The reader decodes every whole frame its buffer holds
+//! before submitting the ops to the batcher as one burst; the batcher
+//! worker holds a clone of that channel's sender for every in-flight
+//! op, so responses are scattered back to the right connection by
+//! construction. The writer drains its channel greedily and flushes
+//! once per drain, so a coalesced batch's worth of responses to one
+//! client goes out in few syscalls.
 //!
 //! # Shutdown
 //!
@@ -52,7 +54,7 @@ use std::time::{Duration, Instant};
 
 use factorhd_engine::ModelRegistry;
 
-use crate::batcher::{Batcher, BatcherConfig, Outgoing, Pending, SubmitOutcome};
+use crate::batcher::{Batcher, BatcherConfig, Outgoing, Pending};
 use crate::error::{ErrorCode, ServeError, WireError};
 use crate::metrics::{ServeMetrics, ServingStats};
 use crate::protocol::{
@@ -76,7 +78,7 @@ const CONNECTION_BUFFER_BYTES: usize = 1 << 16;
 /// Server knobs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServerConfig {
-    /// The adaptive batcher's dispatch policy.
+    /// The batcher's dispatch policy.
     pub batcher: BatcherConfig,
     /// Per-frame payload cap; oversized frames close the connection.
     pub max_frame_bytes: usize,
@@ -311,6 +313,8 @@ fn serve_connection(stream: TcpStream, token: u64, shared: &Arc<Shared>, batcher
     // Sized above a typical scene-op frame so pipelined bursts coalesce
     // into few syscalls instead of one-plus per frame.
     let mut reader = BufReader::with_capacity(CONNECTION_BUFFER_BYTES, stream);
+    // Ops decoded from one socket read, submitted whole.
+    let mut burst = Vec::new();
     // Stop reading on clean EOF, idle expiry, I/O failure, a stalled
     // frame, or an oversized frame (the only wire error framing can't
     // recover from — the stream offset is lost).
@@ -319,13 +323,13 @@ fn serve_connection(stream: TcpStream, token: u64, shared: &Arc<Shared>, batcher
             Ok((request_id, request)) => {
                 shared.metrics.request_received();
                 let received_at = Instant::now();
-                match request {
+                let response = match request {
                     Request::Op {
                         model,
                         op,
                         deadline,
                     } => {
-                        let outcome = batcher.submit(Pending {
+                        burst.push(Pending {
                             model,
                             op,
                             request_id,
@@ -336,51 +340,18 @@ fn serve_connection(stream: TcpStream, token: u64, shared: &Arc<Shared>, batcher
                             deadline: deadline.map(|budget| received_at + budget),
                             reply: reply_tx.clone(),
                         });
-                        let refusal = match outcome {
-                            SubmitOutcome::Accepted => None,
-                            SubmitOutcome::Overloaded => {
-                                shared.metrics.request_shed();
-                                Some((
-                                    ErrorCode::Overloaded,
-                                    "server overloaded: admission queue full; op not executed",
-                                ))
-                            }
-                            SubmitOutcome::ShuttingDown => {
-                                Some((ErrorCode::Shutdown, "server is shutting down"))
-                            }
-                        };
-                        if let Some((code, message)) = refusal {
-                            let _ = reply_tx.send(Outgoing {
-                                request_id,
-                                received_at,
-                                response: Response::Error {
-                                    code,
-                                    message: message.into(),
-                                },
-                            });
-                        }
+                        None
                     }
-                    Request::Stats => {
-                        let _ = reply_tx.send(Outgoing {
-                            request_id,
-                            received_at,
-                            response: Response::Stats(shared.metrics.stats()),
-                        });
-                    }
-                    Request::Ping => {
-                        let _ = reply_tx.send(Outgoing {
-                            request_id,
-                            received_at,
-                            response: Response::Pong,
-                        });
-                    }
-                    Request::ListModels => {
-                        let _ = reply_tx.send(Outgoing {
-                            request_id,
-                            received_at,
-                            response: Response::Models(shared.registry.models_info()),
-                        });
-                    }
+                    Request::Stats => Some(Response::Stats(shared.metrics.stats())),
+                    Request::Ping => Some(Response::Pong),
+                    Request::ListModels => Some(Response::Models(shared.registry.models_info())),
+                };
+                if let Some(response) = response {
+                    let _ = reply_tx.send(Outgoing {
+                        request_id,
+                        received_at,
+                        response,
+                    });
                 }
             }
             Err(wire_err) => {
@@ -398,13 +369,28 @@ fn serve_connection(stream: TcpStream, token: u64, shared: &Arc<Shared>, batcher
                 });
             }
         }
+        // Keep decoding while the buffer already holds the next whole
+        // frame; submit once the next frame needs a socket read.
+        if !frame_buffered(reader.buffer()) {
+            batcher.submit(&mut burst);
+        }
     }
+    // A read error on a buffered frame can end the loop mid-burst.
+    batcher.submit(&mut burst);
     // Dropping our sender lets the writer exit once the batcher has
     // delivered (or dropped) every in-flight reply for this connection.
     drop(reply_tx);
     let _ = writer.join();
     lock_recovering(&shared.connections).remove(&token);
     shared.metrics.connection_closed();
+}
+
+/// Whether `buffered` starts with a whole length-prefixed frame.
+fn frame_buffered(buffered: &[u8]) -> bool {
+    match buffered {
+        [a, b, c, d, rest @ ..] => rest.len() >= u32::from_le_bytes([*a, *b, *c, *d]) as usize,
+        _ => false,
+    }
 }
 
 /// Whether an I/O error is a socket read-timeout expiry (Unix reports
@@ -550,4 +536,62 @@ fn write_reply(writer: &mut impl Write, outgoing: &Outgoing, shared: &Arc<Shared
             .e2e_latency(outgoing.received_at.elapsed().as_nanos() as u64);
     }
     true
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::protocol::{append_frame, decode_response, encode_request, read_frame};
+    use factorhd_core::{Scene, TaxonomyBuilder};
+    use factorhd_engine::{AnyOp, EncodeScene, EngineConfig, ModelState};
+
+    /// Whole-burst submission: the frames one socket read delivers reach
+    /// the batcher queue as one submission, so an idle worker woken by
+    /// the first of them finds them all and runs one batch.
+    #[test]
+    fn buffered_burst_reaches_the_queue_whole() {
+        let registry = Arc::new(ModelRegistry::new());
+        let taxonomy = TaxonomyBuilder::new(256)
+            .seed(4)
+            .class("animal", &[4])
+            .build()
+            .expect("valid taxonomy");
+        registry.install(
+            "m",
+            ModelState::new(taxonomy, EngineConfig::default()).expect("valid model"),
+        );
+        let handle = registry.get("m").expect("installed");
+        let mut rng = hdc::rng_from_seed(9);
+        // A few KiB in one write: one loopback segment, so the server's
+        // first read buffers the whole burst.
+        let mut burst = Vec::new();
+        for id in 0..12 {
+            let scene = Scene::single(handle.state().taxonomy().sample_object(&mut rng));
+            let request = Request::Op {
+                model: "m".into(),
+                op: AnyOp::Encode(EncodeScene { scene }),
+                deadline: None,
+            };
+            append_frame(&mut burst, &encode_request(id, &request));
+        }
+        let server = Server::start(
+            Arc::clone(&registry),
+            "127.0.0.1:0",
+            ServerConfig::default(),
+        )
+        .expect("server starts");
+        let mut stream = TcpStream::connect(server.local_addr()).expect("client connects");
+        stream.write_all(&burst).expect("burst writes");
+        let mut reader = BufReader::new(stream.try_clone().expect("clone stream"));
+        for _ in 0..12 {
+            let payload = read_frame(&mut reader, DEFAULT_MAX_FRAME_BYTES)
+                .expect("response reads")
+                .expect("server keeps the connection open");
+            let (_, response) = decode_response(&payload).expect("response decodes");
+            assert!(matches!(response, Response::Output(_)), "{response:?}");
+        }
+        assert_eq!(server.batcher.submissions(), 1, "one burst, one submission");
+        assert_eq!(server.stats().batches_dispatched, 1);
+        server.shutdown();
+    }
 }

@@ -6,11 +6,12 @@
 //! multi-thread matrix covers the env-var entry path on this same
 //! test).
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread;
 use std::time::Duration;
 
 use factorhd_core::{Encoder, Scene, Taxonomy, TaxonomyBuilder};
+use factorhd_engine::failpoint::{self, FailMode};
 use factorhd_engine::{
     AnyOp, AnyOutput, EncodeScene, EngineConfig, FactorizeRep1, FactorizeRep2, FactorizeRep3,
     MembershipProbe, ModelId, ModelRegistry, ModelState, PartialDecode,
@@ -19,6 +20,17 @@ use factorhd_serve::{BatcherConfig, Client, Server, ServerConfig};
 
 const CLIENTS: usize = 6;
 const OPS_PER_CLIENT: usize = 18;
+
+/// The `serve/batcher_stall` failpoint is process-global; the test that
+/// arms it and the multi-pass loopback test (which it would slow down)
+/// take turns.
+static FAILPOINT_LOCK: Mutex<()> = Mutex::new(());
+
+fn failpoint_guard() -> MutexGuard<'static, ()> {
+    FAILPOINT_LOCK
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
 
 fn build_taxonomy(seed: u64) -> Taxonomy {
     TaxonomyBuilder::new(256)
@@ -86,6 +98,7 @@ fn workload(alpha: &Taxonomy, beta: &Taxonomy) -> Vec<Vec<(String, AnyOp)>> {
 
 #[test]
 fn loopback_responses_match_direct_execute_batch() {
+    let _guard = failpoint_guard();
     let registry = Arc::new(ModelRegistry::new());
     registry.install(
         "alpha",
@@ -132,7 +145,6 @@ fn loopback_responses_match_direct_execute_batch() {
             ServerConfig {
                 batcher: BatcherConfig {
                     max_batch: 16,
-                    max_delay: Duration::from_millis(1),
                     ..BatcherConfig::default()
                 },
                 ..ServerConfig::default()
@@ -189,9 +201,12 @@ fn loopback_responses_match_direct_execute_batch() {
 
 /// The pipelined client path coalesces: a burst of ops on one
 /// connection comes back in op order, bit-identical to direct
-/// execution, and the batcher sees batches bigger than one.
+/// execution, and the batcher sees batches bigger than one. The worker
+/// is held on each batch with `serve/batcher_stall`, so the rest of the
+/// burst queues behind it however the socket splits the bytes.
 #[test]
 fn pipelined_burst_matches_direct_and_coalesces() {
+    let _guard = failpoint_guard();
     let registry = Arc::new(ModelRegistry::new());
     registry.install(
         "alpha",
@@ -216,7 +231,6 @@ fn pipelined_burst_matches_direct_and_coalesces() {
         ServerConfig {
             batcher: BatcherConfig {
                 max_batch: 16,
-                max_delay: Duration::from_millis(5),
                 ..BatcherConfig::default()
             },
             ..ServerConfig::default()
@@ -224,8 +238,13 @@ fn pipelined_burst_matches_direct_and_coalesces() {
     )
     .expect("server starts");
     let mut client = Client::connect(server.local_addr()).expect("client connects");
-    let received: Vec<AnyOutput> = client
-        .run_pipelined("alpha", &ops)
+    failpoint::arm(
+        "serve/batcher_stall",
+        FailMode::Sleep(Duration::from_millis(20)),
+    );
+    let received = client.run_pipelined("alpha", &ops);
+    failpoint::disarm("serve/batcher_stall");
+    let received: Vec<AnyOutput> = received
         .expect("burst succeeds")
         .into_iter()
         .map(|result| result.expect("op succeeds"))

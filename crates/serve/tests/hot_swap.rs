@@ -103,7 +103,6 @@ fn responses_under_hot_swap_are_old_or_new_never_blended() {
         ServerConfig {
             batcher: BatcherConfig {
                 max_batch: 8,
-                max_delay: Duration::from_millis(1),
                 ..BatcherConfig::default()
             },
             ..ServerConfig::default()

@@ -71,7 +71,6 @@ fn classifications_under_retrain_match_exactly_one_published_epoch() {
         ServerConfig {
             batcher: BatcherConfig {
                 max_batch: 8,
-                max_delay: Duration::from_millis(1),
                 ..BatcherConfig::default()
             },
             ..ServerConfig::default()

@@ -1,8 +1,8 @@
 //! The network front end, end to end on loopback: start a [`Server`]
 //! over a two-model registry, run typed ops through a [`Client`] —
-//! one-at-a-time and as a pipelined burst the adaptive batcher
-//! coalesces — hot-swap a model under live traffic, read the serving
-//! telemetry over the wire, and shut down cleanly.
+//! one-at-a-time and as a pipelined burst the batcher coalesces —
+//! hot-swap a model under live traffic, read the serving telemetry over
+//! the wire, and shut down cleanly.
 //!
 //! ```sh
 //! cargo run --release --example serve_network
@@ -70,8 +70,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // 3. The same ops as one pipelined burst: a single write carries
-    //    all twelve requests, and the server's adaptive batcher
-    //    coalesces them into engine batches.
+    //    all twelve requests, and the server submits whatever one
+    //    socket read delivered to its batcher as one burst.
     let outputs = client.run_pipelined("zoo", &ops)?;
     let ok = outputs.iter().filter(|r| r.is_ok()).count();
     println!("pipelined burst: {ok}/{} ops answered", outputs.len());
