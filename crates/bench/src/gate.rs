@@ -1,38 +1,20 @@
 //! The SLO regression gate: diffs current `BENCH_*.json` documents
-//! against committed baselines and fails on throughput regressions and
-//! latency-tail inflation.
+//! against committed baselines and fails on throughput regressions,
+//! latency-tail inflation, and broken absolute SLOs.
 //!
-//! This is the **single** gating code path — the `bench_gate` bin runs
-//! it in CI after the bench smoke runs regenerate the current documents
-//! (the per-bench bins only measure and emit; they no longer carry their
-//! own threshold flags). Three document families are understood, keyed
-//! by their `bench` field:
-//!
-//! * `engine_throughput` — per-(batch, threads) `warm_per_sec` must hold
-//!   within the margin of baseline; the current grid must also pass the
-//!   **scaling-cliff** check ([`CLIFF_MARGIN`]: warm batch-512 ≥ 0.9 ×
-//!   warm batch-64 at every thread count — the historical batch-512
-//!   rollover, re-encoded as a failure); and per-op-kind `p95_ns` from
-//!   the embedded metrics section must not inflate past one histogram
-//!   bucket of slack (see `p95_limit`).
-//! * `packed_scan` — per-(dim, items, shards) `packed_per_sec`.
-//! * `kernels` — per-(kernel, words) `hamming_per_sec`.
-//! * `serving` — per-(clients, pipeline) `throughput_per_sec` for the
-//!   network front end; the current document's top-line
-//!   `serving_fraction` (best ≥ 8-client loopback throughput ÷ direct
-//!   warm batch-64) must also hold above [`SERVING_FLOOR`] — an
-//!   absolute SLO, not a diff — and per-point end-to-end `p95_ns` gets
-//!   the same one-bucket-of-slack ceiling as the engine op latencies
-//!   (skipped when either run had the metrics gate off).
-//! * `learn` — per-dim `train_per_sec` and `classify_per_sec` for the
-//!   online-learning subsystem, classify `classify_p95_ns` under the
-//!   one-doubling-of-slack ceiling, and the CIFAR `final_accuracy`
-//!   held within [`ACCURACY_SLACK`] of the baseline's.
+//! The gate is one table, `FAMILIES`: each document family (keyed by
+//! its `bench` field) lists the point tables it diffs — where the points
+//! live, which fields identify a point, and which metric rows to compare
+//! under which tolerance — plus the named invariants that are not
+//! diffs (the batch-512 cliff, the serving floor, the overload checks).
+//! One generic diff walks every row; docs/OBSERVABILITY.md, "The SLO
+//! gate", renders the table for readers.
 //!
 //! Baseline points with no matching current point are **skipped with a
 //! note**, not failed — the grid legitimately varies with core count and
-//! ISA availability — but a gate that matched *zero* points fails, so a
-//! renamed field or emptied grid cannot pass vacuously.
+//! ISA availability — but a table that matched *zero* points fails, and
+//! a matched point missing a metric field fails, so a renamed field or
+//! emptied grid cannot pass vacuously.
 
 use crate::json::JsonValue;
 
@@ -42,10 +24,10 @@ use crate::json::JsonValue;
 /// catches that class of regression without tripping on scheduler noise.
 pub const CLIFF_MARGIN: f64 = 0.9;
 
-/// Default fraction of baseline throughput a current run may lose before
-/// the gate fails (and the fractional p95 allowance on top of the
+/// Fraction of baseline throughput a current run may lose before the
+/// gate fails (and the fractional p95 allowance on top of the
 /// one-bucket slack).
-pub const DEFAULT_GATE_MARGIN: f64 = 0.15;
+pub const GATE_MARGIN: f64 = 0.15;
 
 /// Minimum fraction of the direct warm batch-64 throughput the network
 /// front end must sustain at ≥ 8 concurrent clients. Below this, the
@@ -60,7 +42,7 @@ pub const SERVING_FLOOR: f64 = 0.8;
 /// Load shedding exists to protect the engine's useful work: a server
 /// that sheds is fine, a server whose admitted throughput collapses
 /// while shedding is prioritizing refusals over service
-/// (docs/ROBUSTNESS.md, "Overload behavior under measurement").
+/// (docs/ROBUSTNESS.md, "Shedding policy (admission control)").
 pub const SERVING_OVERLOAD_FLOOR: f64 = 0.8;
 
 /// Absolute accuracy loss the learning gate tolerates on the CIFAR
@@ -72,8 +54,111 @@ pub const SERVING_OVERLOAD_FLOOR: f64 = 0.8;
 /// drop) through.
 pub const ACCURACY_SLACK: f64 = 0.05;
 
+/// One metric row: a field of every point, and how its current value is
+/// held against the baseline's.
+#[derive(Clone, Copy, Debug)]
+enum Row {
+    /// A rate that may lose at most [`GATE_MARGIN`] of the baseline.
+    Rate(&'static str),
+    /// A latency p95 under one bucket of slack plus the margin (see
+    /// `p95_limit`), with the name of the point's sample-count field. A
+    /// baseline point without samples sets no ceiling; a current point
+    /// without samples fails.
+    P95(&'static str, &'static str),
+    /// An accuracy that may fall at most this far below the baseline.
+    Absolute(&'static str, f64),
+}
+
+use Row::{Absolute, Rate, P95};
+
+/// One table of points a family diffs.
+struct Table {
+    /// Dotted path to the point array, or to a single point object;
+    /// `""` is the document itself.
+    path: &'static str,
+    /// Fields identifying a point across the two documents.
+    keys: &'static [&'static str],
+    /// Whether a baseline point absent from the current run fails
+    /// (rather than being skipped with a note).
+    required: bool,
+    rows: &'static [Row],
+}
+
+const fn table(path: &'static str, keys: &'static [&'static str], rows: &'static [Row]) -> Table {
+    Table {
+        path,
+        keys,
+        required: false,
+        rows,
+    }
+}
+
+/// One document family's gate, keyed by the documents' `bench` field.
+struct Family {
+    bench: &'static str,
+    tables: &'static [Table],
+    /// Why the p95 rows of a (current, baseline) pair are skipped, if
+    /// they are: with metrics off the histograms are empty zeros, not
+    /// measurements.
+    metrics_off: Option<fn(&JsonValue, &JsonValue) -> Option<&'static str>>,
+    /// Checks on the current document that are not diffs.
+    invariants: &'static [fn(&JsonValue, &mut GateOutcome)],
+}
+
+/// The gate: one spec per document family, rendered for readers in
+/// docs/OBSERVABILITY.md, "The SLO gate".
+#[rustfmt::skip]
+const FAMILIES: &[Family] = &[
+    Family {
+        bench: "engine_throughput",
+        tables: &[
+            table("points", &["batch", "threads"], &[Rate("warm_per_sec")]),
+            Table { required: true, ..table("metrics.ops", &["kind"], &[P95("p95_ns", "latency_count")]) },
+        ],
+        metrics_off: Some(engine_metrics_off),
+        invariants: &[scaling_cliff],
+    },
+    Family {
+        bench: "packed_scan",
+        tables: &[table("points", &["dim", "items", "shards"], &[Rate("packed_per_sec")])],
+        metrics_off: None,
+        invariants: &[],
+    },
+    Family {
+        bench: "kernels",
+        tables: &[table("points", &["kernel", "words"], &[Rate("hamming_per_sec")])],
+        metrics_off: None,
+        invariants: &[],
+    },
+    Family {
+        bench: "serving",
+        tables: &[
+            table("points", &["clients", "pipeline"], &[
+                Rate("throughput_per_sec"),
+                P95("p95_ns", "latency_count"),
+            ]),
+            table("overload", &[], &[P95("p95_ns", "latency_count")]),
+        ],
+        metrics_off: Some(serving_metrics_off),
+        invariants: &[serving_floor, cooperative_never_sheds, overload_sheds, overload_holds_floor],
+    },
+    Family {
+        bench: "learn",
+        tables: &[
+            table("points", &["dim"], &[
+                Rate("train_per_sec"),
+                Rate("classify_per_sec"),
+                P95("classify_p95_ns", "latency_count"),
+            ]),
+            table("", &[], &[Absolute("final_accuracy", ACCURACY_SLACK)]),
+        ],
+        metrics_off: None,
+        invariants: &[],
+    },
+];
+
 /// The result of gating one current document against its baseline.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct GateOutcome {
     /// The document family (`bench` field) that was gated.
     pub bench: String,
@@ -87,12 +172,22 @@ pub struct GateOutcome {
 
 impl GateOutcome {
     fn new(bench: &str) -> Self {
-        GateOutcome {
+        Self {
             bench: bench.to_owned(),
-            checks: 0,
-            failures: Vec::new(),
-            notes: Vec::new(),
+            ..Self::default()
         }
+    }
+
+    /// Records a failure; repeating one already recorded adds nothing.
+    fn fail(&mut self, failure: impl Into<String>) {
+        let failure = failure.into();
+        if !self.failures.contains(&failure) {
+            self.failures.push(failure);
+        }
+    }
+
+    fn note(&mut self, note: impl Into<String>) {
+        self.notes.push(note.into());
     }
 
     /// Whether every performed check held.
@@ -104,240 +199,151 @@ impl GateOutcome {
 /// Parses and gates a (current, baseline) document pair; parse errors
 /// come back as gate failures so the bin treats corrupt artifacts as
 /// regressions rather than silently passing.
-pub fn gate_texts(current: &str, baseline: &str, margin: f64) -> GateOutcome {
+pub fn gate_texts(current: &str, baseline: &str) -> GateOutcome {
     let mut outcome = GateOutcome::new("unparsed");
-    let current = match JsonValue::parse(current) {
-        Ok(doc) => doc,
-        Err(e) => {
-            outcome.failures.push(format!("current document: {e}"));
-            return outcome;
-        }
-    };
-    let baseline = match JsonValue::parse(baseline) {
-        Ok(doc) => doc,
-        Err(e) => {
-            outcome.failures.push(format!("baseline document: {e}"));
-            return outcome;
-        }
-    };
-    gate_documents(&current, &baseline, margin)
-}
-
-/// Gates a parsed current document against its parsed baseline,
-/// dispatching on the baseline's `bench` field.
-pub fn gate_documents(current: &JsonValue, baseline: &JsonValue, margin: f64) -> GateOutcome {
-    let bench = baseline
-        .get("bench")
-        .and_then(JsonValue::as_str)
-        .unwrap_or("");
-    let mut outcome = GateOutcome::new(bench);
-    let current_bench = current
-        .get("bench")
-        .and_then(JsonValue::as_str)
-        .unwrap_or("");
-    if current_bench != bench {
-        outcome.failures.push(format!(
-            "bench mismatch: current is {current_bench:?}, baseline is {bench:?}"
-        ));
-        return outcome;
-    }
-    match bench {
-        "engine_throughput" => {
-            throughput_checks(
-                current,
-                baseline,
-                &["batch", "threads"],
-                "warm_per_sec",
-                margin,
-                &mut outcome,
-            );
-            scaling_cliff_check(current, &mut outcome);
-            p95_checks(current, baseline, margin, &mut outcome);
-        }
-        "packed_scan" => throughput_checks(
-            current,
-            baseline,
-            &["dim", "items", "shards"],
-            "packed_per_sec",
-            margin,
-            &mut outcome,
-        ),
-        "kernels" => throughput_checks(
-            current,
-            baseline,
-            &["kernel", "words"],
-            "hamming_per_sec",
-            margin,
-            &mut outcome,
-        ),
-        "serving" => {
-            throughput_checks(
-                current,
-                baseline,
-                &["clients", "pipeline"],
-                "throughput_per_sec",
-                margin,
-                &mut outcome,
-            );
-            serving_floor_check(current, &mut outcome);
-            serving_p95_checks(current, baseline, margin, &mut outcome);
-            serving_overload_checks(current, baseline, margin, &mut outcome);
-        }
-        "learn" => {
-            throughput_checks(
-                current,
-                baseline,
-                &["dim"],
-                "train_per_sec",
-                margin,
-                &mut outcome,
-            );
-            throughput_checks(
-                current,
-                baseline,
-                &["dim"],
-                "classify_per_sec",
-                margin,
-                &mut outcome,
-            );
-            learn_p95_checks(current, baseline, margin, &mut outcome);
-            learn_accuracy_check(current, baseline, &mut outcome);
-        }
-        other => outcome
-            .failures
-            .push(format!("unknown bench family {other:?}")),
+    match (JsonValue::parse(current), JsonValue::parse(baseline)) {
+        (Ok(current), Ok(baseline)) => return gate_documents(&current, &baseline),
+        (Err(e), _) => outcome.fail(format!("current document: {e}")),
+        (_, Err(e)) => outcome.fail(format!("baseline document: {e}")),
     }
     outcome
 }
 
-/// A baseline point's identity: its key fields, rendered. `None` when a
-/// key field is missing (the point cannot be matched).
-fn point_key(point: &JsonValue, key_fields: &[&str]) -> Option<String> {
-    let mut key = String::new();
-    for field in key_fields {
-        let value = point.get(field)?;
-        key.push_str(&format!("{field}={} ", value.render()));
+/// Gates a parsed current document against its parsed baseline under
+/// the spec of the baseline's `bench` family.
+fn gate_documents(current: &JsonValue, baseline: &JsonValue) -> GateOutcome {
+    fn bench_of(doc: &JsonValue) -> &str {
+        doc.get("bench").and_then(JsonValue::as_str).unwrap_or("")
     }
-    Some(key.trim_end().to_owned())
+    let (bench, current_bench) = (bench_of(baseline), bench_of(current));
+    let mut outcome = GateOutcome::new(bench);
+    if current_bench != bench {
+        outcome.fail(format!("bench mismatch: {current_bench:?} vs {bench:?}"));
+        return outcome;
+    }
+    let Some(family) = FAMILIES.iter().find(|family| family.bench == bench) else {
+        outcome.fail(format!("unknown bench family {bench:?}"));
+        return outcome;
+    };
+    let metrics_off = family.metrics_off.and_then(|off| off(current, baseline));
+    if let Some(reason) = metrics_off {
+        outcome.note(format!("{reason}; p95 rows skipped"));
+    }
+    for table in family.tables {
+        table.diff(current, baseline, metrics_off.is_some(), &mut outcome);
+    }
+    for invariant in family.invariants {
+        invariant(current, &mut outcome);
+    }
+    outcome
 }
 
-fn points_of(doc: &JsonValue) -> &[JsonValue] {
-    doc.get("points")
-        .and_then(JsonValue::as_array)
-        .unwrap_or(&[])
+/// The points at `path`: the elements of an array, or a single object
+/// as one point; none when the path is absent.
+fn points_at<'a>(doc: &'a JsonValue, path: &str) -> &'a [JsonValue] {
+    let mut segments = path.split('.').filter(|segment| !segment.is_empty());
+    match segments.try_fold(doc, JsonValue::get) {
+        Some(JsonValue::Arr(items)) => items,
+        Some(value) => std::slice::from_ref(value),
+        None => &[],
+    }
 }
 
-/// Per-point throughput comparison: every baseline point with a matching
-/// current point (same key fields) must hold `rate_field` within
-/// `margin` of baseline; unmatched baseline points are noted, and a gate
-/// that matched nothing fails.
-fn throughput_checks(
-    current: &JsonValue,
-    baseline: &JsonValue,
-    key_fields: &[&str],
-    rate_field: &str,
-    margin: f64,
-    outcome: &mut GateOutcome,
-) {
-    let current_points = points_of(current);
-    for base_point in points_of(baseline) {
-        let Some(key) = point_key(base_point, key_fields) else {
-            outcome
-                .failures
-                .push(format!("baseline point missing key fields {key_fields:?}"));
-            continue;
-        };
-        let Some(base_rate) = base_point.get(rate_field).and_then(JsonValue::as_f64) else {
-            outcome
-                .failures
-                .push(format!("baseline point [{key}] has no {rate_field}"));
-            continue;
-        };
-        let matched = current_points
-            .iter()
-            .find(|p| point_key(p, key_fields).as_deref() == Some(&key));
-        let Some(current_point) = matched else {
-            outcome
-                .notes
-                .push(format!("[{key}] absent from current run; skipped"));
-            continue;
-        };
-        let Some(current_rate) = current_point.get(rate_field).and_then(JsonValue::as_f64) else {
-            outcome
-                .failures
-                .push(format!("current point [{key}] has no {rate_field}"));
-            continue;
-        };
-        outcome.checks += 1;
-        let floor = (1.0 - margin) * base_rate;
-        if current_rate < floor {
-            outcome.failures.push(format!(
-                "[{key}] {rate_field} regressed: {current_rate:.0}/s vs baseline \
-                 {base_rate:.0}/s (floor {floor:.0}/s at margin {margin})"
-            ));
+fn number(point: &JsonValue, field: &str) -> Option<f64> {
+    point.get(field).and_then(JsonValue::as_f64)
+}
+
+/// A point's label: its key fields, rendered — or, for a table with no
+/// keys, the table's path. `None` when a key field is missing (the
+/// point cannot be matched).
+fn point_label(point: &JsonValue, keys: &[&str], path: &str) -> Option<String> {
+    let mut fields = Vec::new();
+    for key in keys {
+        fields.push(format!("{key}={}", point.get(key)?.render()));
+    }
+    Some(match (keys, path) {
+        ([], "") => "document".to_owned(),
+        ([], path) => path.to_owned(),
+        _ => format!("[{}]", fields.join(" ")),
+    })
+}
+
+impl Table {
+    /// The generic diff: every baseline point is matched to the current
+    /// point with the same key fields, and every row (bar the p95 rows,
+    /// when `skip_p95`) is compared under its tolerance. Unmatched
+    /// baseline points are noted (or fail, for a `required` table); a
+    /// table that matched nothing fails.
+    fn diff(&self, current: &JsonValue, base: &JsonValue, skip_p95: bool, out: &mut GateOutcome) {
+        let (path, keys) = (self.path, self.keys);
+        let skipped = |row: &&Row| skip_p95 && matches!(row, P95(..));
+        let base_points = points_at(base, path);
+        if self.rows.iter().all(|row| skipped(&row)) {
+            return;
+        } else if base_points.is_empty() {
+            return out.note(format!("baseline has no {path}; its rows skipped"));
+        }
+        let mut matched = 0usize;
+        for base_point in base_points {
+            let Some(label) = point_label(base_point, keys, path) else {
+                out.fail(format!("baseline point at {path} lacks {keys:?}"));
+                continue;
+            };
+            let matches = |p: &&JsonValue| point_label(p, keys, path).as_ref() == Some(&label);
+            match points_at(current, path).iter().find(matches) {
+                Some(current_point) => {
+                    matched += 1;
+                    for row in self.rows.iter().filter(|row| !skipped(row)) {
+                        row.check(&label, base_point, current_point, out);
+                    }
+                }
+                None if self.required => out.fail(format!("{label} absent from current run")),
+                None => out.note(format!("{label} absent from current run; skipped")),
+            }
+        }
+        if matched == 0 {
+            out.fail(format!("no baseline point matched at {path}"));
         }
     }
-    if outcome.checks == 0 && outcome.failures.is_empty() {
-        outcome.failures.push(format!(
-            "no baseline point matched the current run (key fields {key_fields:?})"
-        ));
-    }
 }
 
-/// One parsed engine grid row, as much of it as the cliff check needs.
-struct EnginePoint {
-    batch: u64,
-    threads: u64,
-    warm_per_sec: f64,
-}
-
-fn engine_points(doc: &JsonValue) -> Vec<EnginePoint> {
-    points_of(doc)
-        .iter()
-        .filter_map(|p| {
-            Some(EnginePoint {
-                batch: p.get("batch").and_then(JsonValue::as_u64)?,
-                threads: p.get("threads").and_then(JsonValue::as_u64)?,
-                warm_per_sec: p.get("warm_per_sec").and_then(JsonValue::as_f64)?,
-            })
-        })
-        .collect()
-}
-
-/// The scaling-cliff check on the **current** grid: at every measured
-/// thread count, warm batch-512 throughput must reach at least
-/// [`CLIFF_MARGIN`] × warm batch-64 throughput — the batch-512 rollover,
-/// re-encoded as a failure. A grid with no batch-512 rows (or a
-/// batch-512 row with no batch-64 partner) fails rather than passing
-/// vacuously.
-fn scaling_cliff_check(current: &JsonValue, outcome: &mut GateOutcome) {
-    let points = engine_points(current);
-    let mut checked = 0usize;
-    for p512 in points.iter().filter(|p| p.batch == 512) {
-        let Some(p64) = points
-            .iter()
-            .find(|p| p.batch == 64 && p.threads == p512.threads)
-        else {
-            outcome.failures.push(format!(
-                "cliff: no batch-64 row at {} threads",
-                p512.threads
-            ));
-            continue;
+impl Row {
+    /// Compares this row of one matched point pair. A field the baseline
+    /// has but the current point lacks is a failure, never a pass.
+    fn check(self, label: &str, base: &JsonValue, current: &JsonValue, out: &mut GateOutcome) {
+        let (Rate(field) | P95(field, _) | Absolute(field, _)) = self;
+        let base_value = number(base, field);
+        if let P95(_, count) = self {
+            let base_samples = number(base, count).unwrap_or(0.0);
+            if base_samples == 0.0 || base_value.unwrap_or(0.0) == 0.0 {
+                return;
+            } else if number(current, count).unwrap_or(0.0) == 0.0 {
+                out.checks += 1;
+                return out.fail(format!(
+                    "{label} {field}: recorded no latency samples (baseline had {base_samples}) \
+                     — instrumentation went missing"
+                ));
+            }
+        }
+        let Some(base) = base_value else {
+            return out.fail(format!("baseline point {label} has no {field}"));
         };
-        outcome.checks += 1;
-        checked += 1;
-        if p512.warm_per_sec < CLIFF_MARGIN * p64.warm_per_sec {
-            outcome.failures.push(format!(
-                "cliff: warm batch-512 ({:.0}/s) fell below {CLIFF_MARGIN} × warm batch-64 \
-                 ({:.0}/s) at {} threads — the batch-512 rollover is back",
-                p512.warm_per_sec, p64.warm_per_sec, p512.threads
+        out.checks += 1;
+        let Some(value) = number(current, field) else {
+            return out.fail(format!("current point {label} has no {field}"));
+        };
+        let (floor, ceiling) = ((1.0 - GATE_MARGIN) * base, p95_limit(base));
+        let (verb, limit, failed, digits) = match self {
+            Rate(_) => ("regressed below floor", floor, value < floor, 0),
+            P95(..) => ("inflated above ceiling", ceiling, value > ceiling, 0),
+            Absolute(_, slack) => ("fell below floor", base - slack, value < base - slack, 3),
+        };
+        if failed {
+            out.fail(format!(
+                "{label} {field} {verb} {limit:.digits$}: \
+                 {value:.digits$} vs baseline {base:.digits$}"
             ));
         }
-    }
-    if checked == 0 {
-        outcome
-            .failures
-            .push("cliff: no batch-512 rows to check".to_owned());
     }
 }
 
@@ -346,383 +352,151 @@ fn scaling_cliff_check(current: &JsonValue, outcome: &mut GateOutcome) {
 /// quantiles to bucket upper bounds (powers of two), so a value sitting
 /// near a bucket edge legitimately flips one bucket (2×) between runs;
 /// **two** buckets is a genuine tail regression, and that is what this
-/// ceiling fails.
-fn p95_limit(baseline_p95: u64, margin: f64) -> f64 {
-    baseline_p95 as f64 * 2.0 * (1.0 + margin)
+/// ceiling fails. The learning documents' classify p95 is an exact order
+/// statistic, but a value near a scheduler hiccup still legitimately
+/// doubles between runs, so the same ceiling applies.
+fn p95_limit(baseline_p95: f64) -> f64 {
+    baseline_p95 * 2.0 * (1.0 + GATE_MARGIN)
 }
 
-/// Per-op-kind p95 latency comparison over the embedded `metrics`
-/// sections. Skipped (with a note) when either document has no metrics
-/// or the current build compiled the telemetry layer out; an op kind
-/// that had latency samples in the baseline but none in the current run
-/// fails, since that means the instrumentation went missing.
-fn p95_checks(current: &JsonValue, baseline: &JsonValue, margin: f64, outcome: &mut GateOutcome) {
-    let Some(base_metrics) = baseline.get("metrics") else {
-        outcome
-            .notes
-            .push("baseline has no metrics section; p95 checks skipped".to_owned());
-        return;
-    };
-    let Some(current_metrics) = current.get("metrics") else {
-        outcome
-            .notes
-            .push("current run has no metrics section; p95 checks skipped".to_owned());
-        return;
-    };
-    if current_metrics
-        .get("compiled_out")
-        .and_then(JsonValue::as_bool)
-        == Some(true)
-    {
-        outcome
-            .notes
-            .push("current build compiled metrics out; p95 checks skipped".to_owned());
-        return;
+/// The engine's metrics-off skip: either document lacks the embedded
+/// `metrics` section, or the current build compiled telemetry out.
+fn engine_metrics_off(current: &JsonValue, baseline: &JsonValue) -> Option<&'static str> {
+    let compiled_out = |metrics: &JsonValue| metrics.get("compiled_out")?.as_bool();
+    match (
+        baseline.get("metrics"),
+        current.get("metrics").map(compiled_out),
+    ) {
+        (None, _) => Some("baseline has no metrics section"),
+        (_, None) => Some("current run has no metrics section"),
+        (_, Some(Some(true))) => Some("current build compiled metrics out"),
+        _ => None,
     }
-    let base_ops = base_metrics.get("ops").and_then(JsonValue::as_array);
-    let current_ops = current_metrics.get("ops").and_then(JsonValue::as_array);
-    let (Some(base_ops), Some(current_ops)) = (base_ops, current_ops) else {
-        outcome
-            .failures
-            .push("metrics section has no ops array".to_owned());
-        return;
-    };
-    for base_op in base_ops {
-        let kind = base_op
-            .get("kind")
-            .and_then(JsonValue::as_str)
-            .unwrap_or("?");
-        let base_count = base_op
-            .get("latency_count")
-            .and_then(JsonValue::as_u64)
-            .unwrap_or(0);
-        let base_p95 = base_op
-            .get("p95_ns")
-            .and_then(JsonValue::as_u64)
-            .unwrap_or(0);
-        if base_count == 0 || base_p95 == 0 {
-            continue;
-        }
-        let matched = current_ops
-            .iter()
-            .find(|op| op.get("kind").and_then(JsonValue::as_str) == Some(kind));
-        let Some(current_op) = matched else {
-            outcome
-                .failures
-                .push(format!("p95: op kind {kind:?} absent from current metrics"));
-            continue;
-        };
-        let current_count = current_op
-            .get("latency_count")
-            .and_then(JsonValue::as_u64)
-            .unwrap_or(0);
-        let Some(current_p95) = current_op.get("p95_ns").and_then(JsonValue::as_u64) else {
-            outcome
-                .failures
-                .push(format!("p95: op kind {kind:?} has no p95_ns"));
+}
+
+/// The serving metrics-off skip: either run recorded with the
+/// `metrics_recording` gate off.
+fn serving_metrics_off(current: &JsonValue, baseline: &JsonValue) -> Option<&'static str> {
+    let recording = |doc: &JsonValue| doc.get("metrics_recording")?.as_bool();
+    match (recording(baseline), recording(current)) {
+        (Some(true), Some(true)) => None,
+        (Some(true), _) => Some("current run had metrics off"),
+        _ => Some("baseline had metrics off"),
+    }
+}
+
+/// The scaling cliff on the **current** engine grid: at every measured
+/// thread count, warm batch-512 throughput must reach at least
+/// [`CLIFF_MARGIN`] × warm batch-64 throughput — the batch-512 rollover,
+/// re-encoded as a failure. A grid with no batch-512 rows (or a
+/// batch-512 row with no batch-64 partner) fails rather than passing
+/// vacuously.
+fn scaling_cliff(current: &JsonValue, outcome: &mut GateOutcome) {
+    let grid: Vec<[f64; 3]> = points_at(current, "points")
+        .iter()
+        .filter_map(|p| {
+            let [batch, threads, warm] = ["batch", "threads", "warm_per_sec"].map(|f| number(p, f));
+            Some([batch?, threads?, warm?])
+        })
+        .collect();
+    let mut checked = 0usize;
+    for &[_, threads, warm512] in grid.iter().filter(|p| p[0] == 512.0) {
+        let Some(&[_, _, warm64]) = grid.iter().find(|p| p[0] == 64.0 && p[1] == threads) else {
+            outcome.fail(format!("cliff: no batch-64 row at {threads} threads"));
             continue;
         };
-        outcome.checks += 1;
-        if current_count == 0 {
-            outcome.failures.push(format!(
-                "p95: op kind {kind:?} recorded no latency samples (baseline had {base_count}) \
-                 — instrumentation went missing"
-            ));
-            continue;
-        }
-        let limit = p95_limit(base_p95, margin);
-        if current_p95 as f64 > limit {
-            outcome.failures.push(format!(
-                "p95: op kind {kind:?} inflated to {current_p95}ns vs baseline {base_p95}ns \
-                 (ceiling {limit:.0}ns = one bucket + margin {margin})"
+        checked += 1;
+        if warm512 < CLIFF_MARGIN * warm64 {
+            outcome.fail(format!(
+                "cliff: warm batch-512 ({warm512:.0}/s) fell below {CLIFF_MARGIN} × warm \
+                 batch-64 ({warm64:.0}/s) at {threads} threads — the batch-512 rollover is back"
             ));
         }
+    }
+    outcome.checks += checked;
+    if checked == 0 {
+        outcome.fail("cliff: no batch-512 rows to check");
     }
 }
 
 /// The absolute serving SLO on the **current** document: its
 /// `serving_fraction` (best ≥ 8-client loopback throughput as a
 /// fraction of the in-run direct warm batch-64 reference) must reach
-/// [`SERVING_FLOOR`]. A document without the field fails rather than
-/// passing vacuously.
-fn serving_floor_check(current: &JsonValue, outcome: &mut GateOutcome) {
-    let Some(fraction) = current.get("serving_fraction").and_then(JsonValue::as_f64) else {
-        outcome
-            .failures
-            .push("serving: current document has no serving_fraction".to_owned());
-        return;
+/// [`SERVING_FLOOR`]. A document without the field fails.
+fn serving_floor(current: &JsonValue, outcome: &mut GateOutcome) {
+    let Some(fraction) = number(current, "serving_fraction") else {
+        return outcome.fail("serving: current document has no serving_fraction");
     };
     outcome.checks += 1;
     if fraction < SERVING_FLOOR {
-        outcome.failures.push(format!(
+        outcome.fail(format!(
             "serving: fraction of direct warm batch-64 fell to {fraction:.2} at >=8 clients \
              (floor {SERVING_FLOOR}) — the front end is eating the engine"
         ));
     }
 }
 
-/// Per-point end-to-end p95 latency comparison, same one-bucket-plus-
-/// margin ceiling as the engine's per-op-kind check. Skipped with a
-/// note when either run recorded with the metrics gate off (the
-/// histograms are empty zeros, not measurements); a point that had
-/// latency samples in the baseline but none in the current run fails.
-fn serving_p95_checks(
-    current: &JsonValue,
-    baseline: &JsonValue,
-    margin: f64,
-    outcome: &mut GateOutcome,
-) {
-    for (doc, who) in [(baseline, "baseline"), (current, "current run")] {
-        if doc.get("metrics_recording").and_then(JsonValue::as_bool) != Some(true) {
-            outcome
-                .notes
-                .push(format!("{who} had metrics off; serving p95 checks skipped"));
-            return;
-        }
-    }
-    let key_fields = &["clients", "pipeline"];
-    let current_points = points_of(current);
-    for base_point in points_of(baseline) {
-        let Some(key) = point_key(base_point, key_fields) else {
-            continue;
-        };
-        let base_count = base_point
-            .get("latency_count")
-            .and_then(JsonValue::as_u64)
-            .unwrap_or(0);
-        let base_p95 = base_point
-            .get("p95_ns")
-            .and_then(JsonValue::as_u64)
-            .unwrap_or(0);
-        if base_count == 0 || base_p95 == 0 {
-            continue;
-        }
-        let Some(current_point) = current_points
-            .iter()
-            .find(|p| point_key(p, key_fields).as_deref() == Some(&key))
-        else {
-            continue; // throughput_checks already noted the absence
-        };
+/// Cooperative grid points never shed: `requests_shed` is tolerable
+/// only in the dedicated overload point (docs/ROBUSTNESS.md). A point
+/// without the field fails.
+fn cooperative_never_sheds(current: &JsonValue, outcome: &mut GateOutcome) {
+    for point in points_at(current, "points") {
+        let label = point_label(point, &["clients", "pipeline"], "points").unwrap_or_default();
         outcome.checks += 1;
-        let current_count = current_point
-            .get("latency_count")
-            .and_then(JsonValue::as_u64)
-            .unwrap_or(0);
-        if current_count == 0 {
-            outcome.failures.push(format!(
-                "serving p95: [{key}] recorded no latency samples (baseline had {base_count}) \
-                 — instrumentation went missing"
-            ));
-            continue;
-        }
-        let current_p95 = current_point
-            .get("p95_ns")
-            .and_then(JsonValue::as_u64)
-            .unwrap_or(0);
-        let limit = p95_limit(base_p95, margin);
-        if current_p95 as f64 > limit {
-            outcome.failures.push(format!(
-                "serving p95: [{key}] inflated to {current_p95}ns vs baseline {base_p95}ns \
-                 (ceiling {limit:.0}ns = one bucket + margin {margin})"
-            ));
-        }
-    }
-}
-
-/// The schema-v2 overload checks (docs/ROBUSTNESS.md):
-///
-/// * cooperative grid points must not shed — `requests_shed` is only
-///   tolerable in the dedicated overload point;
-/// * the overload point must have actually been overloaded (nonzero
-///   sheds), must keep its admitted throughput above
-///   [`SERVING_OVERLOAD_FLOOR`] × the cooperative rate at the same
-///   grid point, and its **admitted-only** p95 must hold within one
-///   histogram bucket (plus margin) of the baseline's overload p95.
-///
-/// A v1 baseline (no `overload` object) downgrades the p95 diff to a
-/// note; a *current* document without the object fails — the schema
-/// bump is part of the robustness contract, and dropping it would
-/// silently retire the overload SLO.
-fn serving_overload_checks(
-    current: &JsonValue,
-    baseline: &JsonValue,
-    margin: f64,
-    outcome: &mut GateOutcome,
-) {
-    // Cooperative points never shed.
-    for point in points_of(current) {
-        let Some(shed) = point.get("requests_shed").and_then(JsonValue::as_u64) else {
-            continue; // pre-v2 current document; the overload check below fails it
-        };
-        outcome.checks += 1;
-        if shed > 0 {
-            let key = point_key(point, &["clients", "pipeline"]).unwrap_or_default();
-            outcome.failures.push(format!(
-                "serving overload: cooperative point [{key}] shed {shed} requests — \
+        match point.get("requests_shed").and_then(JsonValue::as_u64) {
+            Some(0) => {}
+            Some(shed) => outcome.fail(format!(
+                "serving overload: cooperative point {label} shed {shed} requests — \
                  the default queue depth must absorb cooperative load"
-            ));
+            )),
+            None => outcome.fail(format!("cooperative point {label} has no requests_shed")),
         }
     }
+}
 
+/// A field of the current document's `overload` object. A missing
+/// object or field fails: the overload SLO cannot be retired by
+/// omission.
+fn overload_field(current: &JsonValue, field: &str, outcome: &mut GateOutcome) -> Option<f64> {
     let Some(overload) = current.get("overload") else {
-        outcome.failures.push(
-            "serving overload: current document has no overload object (schema v2) — \
-             the overload SLO cannot be retired by omission"
-                .to_owned(),
-        );
-        return;
+        outcome.fail("serving overload: current document has no overload object (schema v2)");
+        return None;
     };
-    let shed = overload
-        .get("requests_shed")
-        .and_then(JsonValue::as_u64)
-        .unwrap_or(0);
-    outcome.checks += 1;
-    if shed == 0 {
-        outcome.failures.push(
-            "serving overload: the overload point shed nothing — the measurement \
-             never actually overloaded the admission queue"
-                .to_owned(),
-        );
+    let value = number(overload, field);
+    if value.is_none() {
+        outcome.fail(format!("serving overload: no overload.{field}"));
     }
-    let admitted = overload
-        .get("admitted_per_sec")
-        .and_then(JsonValue::as_f64)
-        .unwrap_or(0.0);
-    let cooperative = overload
-        .get("cooperative_per_sec")
-        .and_then(JsonValue::as_f64)
-        .unwrap_or(0.0);
-    outcome.checks += 1;
-    if admitted < SERVING_OVERLOAD_FLOOR * cooperative {
-        outcome.failures.push(format!(
-            "serving overload: admitted throughput {admitted:.0} req/s fell below \
-             {SERVING_OVERLOAD_FLOOR} x the cooperative {cooperative:.0} req/s — \
-             shedding is cannibalizing useful work"
-        ));
-    }
-
-    // Admitted-p95 diff against the baseline's overload point.
-    for (doc, who) in [(baseline, "baseline"), (current, "current run")] {
-        if doc.get("metrics_recording").and_then(JsonValue::as_bool) != Some(true) {
-            outcome
-                .notes
-                .push(format!("{who} had metrics off; overload p95 check skipped"));
-            return;
-        }
-    }
-    let Some(base_overload) = baseline.get("overload") else {
-        outcome
-            .notes
-            .push("baseline predates the overload point; overload p95 check skipped".to_owned());
-        return;
-    };
-    let base_p95 = base_overload
-        .get("p95_ns")
-        .and_then(JsonValue::as_u64)
-        .unwrap_or(0);
-    if base_p95 == 0 {
-        return;
-    }
-    let current_p95 = overload
-        .get("p95_ns")
-        .and_then(JsonValue::as_u64)
-        .unwrap_or(0);
-    outcome.checks += 1;
-    if current_p95 as f64 > p95_limit(base_p95, margin) {
-        outcome.failures.push(format!(
-            "serving overload: admitted p95 inflated to {current_p95}ns vs baseline \
-             {base_p95}ns (ceiling {:.0}ns = one bucket + margin {margin}) — \
-             admission control stopped bounding queueing delay",
-            p95_limit(base_p95, margin)
-        ));
-    }
+    value
 }
 
-/// Per-dim classify-p95 comparison for the learning documents. The
-/// latencies are exact order statistics (not histogram buckets), but a
-/// value near a scheduler hiccup still legitimately doubles between
-/// runs, so the same one-doubling-plus-margin ceiling applies; a point
-/// that had latency samples in the baseline but none in the current
-/// run fails.
-fn learn_p95_checks(
-    current: &JsonValue,
-    baseline: &JsonValue,
-    margin: f64,
-    outcome: &mut GateOutcome,
-) {
-    let key_fields = &["dim"];
-    let current_points = points_of(current);
-    for base_point in points_of(baseline) {
-        let Some(key) = point_key(base_point, key_fields) else {
-            continue;
-        };
-        let base_count = base_point
-            .get("latency_count")
-            .and_then(JsonValue::as_u64)
-            .unwrap_or(0);
-        let base_p95 = base_point
-            .get("classify_p95_ns")
-            .and_then(JsonValue::as_u64)
-            .unwrap_or(0);
-        if base_count == 0 || base_p95 == 0 {
-            continue;
-        }
-        let Some(current_point) = current_points
-            .iter()
-            .find(|p| point_key(p, key_fields).as_deref() == Some(&key))
-        else {
-            continue; // throughput_checks already noted the absence
-        };
+/// The overload point must actually have been overloaded: nonzero sheds.
+fn overload_sheds(current: &JsonValue, outcome: &mut GateOutcome) {
+    if let Some(shed) = overload_field(current, "requests_shed", outcome) {
         outcome.checks += 1;
-        let current_count = current_point
-            .get("latency_count")
-            .and_then(JsonValue::as_u64)
-            .unwrap_or(0);
-        if current_count == 0 {
-            outcome.failures.push(format!(
-                "learn p95: [{key}] recorded no latency samples (baseline had {base_count})"
-            ));
-            continue;
-        }
-        let current_p95 = current_point
-            .get("classify_p95_ns")
-            .and_then(JsonValue::as_u64)
-            .unwrap_or(0);
-        let limit = p95_limit(base_p95, margin);
-        if current_p95 as f64 > limit {
-            outcome.failures.push(format!(
-                "learn p95: [{key}] classify p95 inflated to {current_p95}ns vs baseline \
-                 {base_p95}ns (ceiling {limit:.0}ns = one doubling + margin {margin})"
-            ));
+        if shed == 0.0 {
+            outcome.fail(
+                "serving overload: the overload point shed nothing — the measurement \
+                 never actually overloaded the admission queue",
+            );
         }
     }
 }
 
-/// The learning-quality check: the current CIFAR retraining curve's
-/// `final_accuracy` must hold within [`ACCURACY_SLACK`] of the
-/// baseline's. A document that dropped the field fails rather than
-/// passing vacuously.
-fn learn_accuracy_check(current: &JsonValue, baseline: &JsonValue, outcome: &mut GateOutcome) {
-    let Some(base_accuracy) = baseline.get("final_accuracy").and_then(JsonValue::as_f64) else {
-        outcome
-            .failures
-            .push("learn: baseline document has no final_accuracy".to_owned());
-        return;
-    };
-    let Some(current_accuracy) = current.get("final_accuracy").and_then(JsonValue::as_f64) else {
-        outcome
-            .failures
-            .push("learn: current document has no final_accuracy".to_owned());
-        return;
-    };
-    outcome.checks += 1;
-    let floor = base_accuracy - ACCURACY_SLACK;
-    if current_accuracy < floor {
-        outcome.failures.push(format!(
-            "learn: final CIFAR accuracy fell to {current_accuracy:.3} vs baseline \
-             {base_accuracy:.3} (floor {floor:.3} at slack {ACCURACY_SLACK}) — \
-             the retraining loop stopped learning"
-        ));
+/// The overload point's admitted throughput must hold
+/// [`SERVING_OVERLOAD_FLOOR`] × the cooperative rate at the same grid
+/// point.
+fn overload_holds_floor(current: &JsonValue, outcome: &mut GateOutcome) {
+    let admitted = overload_field(current, "admitted_per_sec", outcome);
+    let cooperative = overload_field(current, "cooperative_per_sec", outcome);
+    if let (Some(admitted), Some(cooperative)) = (admitted, cooperative) {
+        outcome.checks += 1;
+        if admitted < SERVING_OVERLOAD_FLOOR * cooperative {
+            outcome.fail(format!(
+                "serving overload: admitted throughput {admitted:.0} req/s fell below \
+                 {SERVING_OVERLOAD_FLOOR} x the cooperative {cooperative:.0} req/s — \
+                 shedding is cannibalizing useful work"
+            ));
+        }
     }
 }
 
@@ -788,7 +562,7 @@ mod tests {
 
     #[test]
     fn identical_documents_pass() {
-        let outcome = gate_documents(&healthy(), &healthy(), DEFAULT_GATE_MARGIN);
+        let outcome = gate_documents(&healthy(), &healthy());
         assert!(outcome.passed(), "{:?}", outcome.failures);
         // 4 throughput + 2 cliff + 2 p95.
         assert_eq!(outcome.checks, 8);
@@ -805,7 +579,7 @@ mod tests {
             ],
             &[("rep2", 900, 4095), ("rep3", 90, 16383)], // one bucket up: slack
         );
-        let outcome = gate_documents(&current, &healthy(), DEFAULT_GATE_MARGIN);
+        let outcome = gate_documents(&current, &healthy());
         assert!(outcome.passed(), "{:?}", outcome.failures);
     }
 
@@ -820,7 +594,7 @@ mod tests {
             ],
             &[("rep2", 1000, 2047), ("rep3", 100, 16383)],
         );
-        let outcome = gate_documents(&current, &healthy(), DEFAULT_GATE_MARGIN);
+        let outcome = gate_documents(&current, &healthy());
         let failure = outcome.failures.join("\n");
         assert!(failure.contains("warm_per_sec regressed"), "{failure}");
     }
@@ -833,16 +607,16 @@ mod tests {
             &[(64, 1, 21131.0), (512, 1, 17372.0)],
             &[("rep2", 1000, 2047)],
         );
-        let outcome = gate_documents(&rollover, &rollover, DEFAULT_GATE_MARGIN);
+        let outcome = gate_documents(&rollover, &rollover);
         let failure = outcome.failures.join("\n");
         assert!(failure.contains("batch-512 rollover"), "{failure}");
         // A grid with no batch-512 rows cannot vacuously pass the cliff.
         let no512 = engine_doc(&[(64, 1, 100.0)], &[("rep2", 1000, 2047)]);
-        let outcome = gate_documents(&no512, &no512, DEFAULT_GATE_MARGIN);
+        let outcome = gate_documents(&no512, &no512);
         assert!(outcome.failures.iter().any(|f| f.contains("no batch-512")));
         // A batch-512 row with no batch-64 partner is a failure too.
         let orphan = engine_doc(&[(512, 3, 100.0)], &[("rep2", 1000, 2047)]);
-        let outcome = gate_documents(&orphan, &orphan, DEFAULT_GATE_MARGIN);
+        let outcome = gate_documents(&orphan, &orphan);
         assert!(outcome.failures.iter().any(|f| f.contains("no batch-64")));
     }
 
@@ -858,10 +632,10 @@ mod tests {
             // rep2 jumped two buckets (2047 → 8191ns): a real tail regression.
             &[("rep2", 1000, 8191), ("rep3", 100, 16383)],
         );
-        let outcome = gate_documents(&current, &healthy(), DEFAULT_GATE_MARGIN);
+        let outcome = gate_documents(&current, &healthy());
         let failure = outcome.failures.join("\n");
         assert!(
-            failure.contains("p95: op kind \"rep2\" inflated"),
+            failure.contains("[kind=\"rep2\"] p95_ns inflated"),
             "{failure}"
         );
     }
@@ -877,7 +651,7 @@ mod tests {
             ],
             &[("rep2", 0, 0), ("rep3", 100, 16383)],
         );
-        let outcome = gate_documents(&current, &healthy(), DEFAULT_GATE_MARGIN);
+        let outcome = gate_documents(&current, &healthy());
         assert!(outcome
             .failures
             .iter()
@@ -896,7 +670,7 @@ mod tests {
                 }
             }
         }
-        let outcome = gate_documents(&current, &healthy(), DEFAULT_GATE_MARGIN);
+        let outcome = gate_documents(&current, &healthy());
         assert!(outcome.passed(), "{:?}", outcome.failures);
         assert!(outcome
             .notes
@@ -912,7 +686,7 @@ mod tests {
             &[(64, 1, 100.0), (512, 1, 110.0)],
             &[("rep2", 1000, 2047), ("rep3", 100, 16383)],
         );
-        let outcome = gate_documents(&current, &healthy(), DEFAULT_GATE_MARGIN);
+        let outcome = gate_documents(&current, &healthy());
         assert!(outcome.passed(), "{:?}", outcome.failures);
         assert_eq!(
             outcome
@@ -925,7 +699,7 @@ mod tests {
         // No overlap at all: the gate must fail, not pass vacuously.
         let disjoint = engine_doc(&[(8, 1, 50.0)], &[]);
         let baseline = engine_doc(&[(64, 4, 100.0)], &[]);
-        let outcome = gate_documents(&disjoint, &baseline, DEFAULT_GATE_MARGIN);
+        let outcome = gate_documents(&disjoint, &baseline);
         assert!(outcome
             .failures
             .iter()
@@ -958,9 +732,9 @@ mod tests {
     fn packed_scan_documents_gate_on_packed_per_sec() {
         let baseline = packed_doc(&[(1024, 256, 1, 400000.0), (8192, 256, 8, 100000.0)]);
         let good = packed_doc(&[(1024, 256, 1, 390000.0), (8192, 256, 8, 99000.0)]);
-        assert!(gate_documents(&good, &baseline, DEFAULT_GATE_MARGIN).passed());
+        assert!(gate_documents(&good, &baseline).passed());
         let bad = packed_doc(&[(1024, 256, 1, 200000.0), (8192, 256, 8, 99000.0)]);
-        let outcome = gate_documents(&bad, &baseline, DEFAULT_GATE_MARGIN);
+        let outcome = gate_documents(&bad, &baseline);
         assert!(!outcome.passed());
         assert!(outcome.failures[0].contains("packed_per_sec regressed"));
     }
@@ -990,43 +764,37 @@ mod tests {
         let baseline = kernel_doc(&[("avx2", 512, 3.0e9), ("avx512", 512, 8.0e9)]);
         // Current machine lacks avx512: that row is skipped, avx2 gates.
         let current = kernel_doc(&[("avx2", 512, 2.9e9)]);
-        let outcome = gate_documents(&current, &baseline, DEFAULT_GATE_MARGIN);
+        let outcome = gate_documents(&current, &baseline);
         assert!(outcome.passed(), "{:?}", outcome.failures);
         assert_eq!(outcome.checks, 1);
         assert!(outcome.notes[0].contains("skipped"));
         let slow = kernel_doc(&[("avx2", 512, 1.0e9)]);
-        assert!(!gate_documents(&slow, &baseline, DEFAULT_GATE_MARGIN).passed());
+        assert!(!gate_documents(&slow, &baseline).passed());
     }
 
     #[test]
     fn mismatched_and_unknown_bench_fields_fail() {
         let packed = packed_doc(&[(1024, 256, 1, 1.0)]);
-        let outcome = gate_documents(&healthy(), &packed, DEFAULT_GATE_MARGIN);
+        let outcome = gate_documents(&healthy(), &packed);
         assert!(outcome.failures[0].contains("bench mismatch"));
         let unknown = JsonValue::obj(vec![("bench", JsonValue::Str("mystery".into()))]);
-        let outcome = gate_documents(&unknown, &unknown, DEFAULT_GATE_MARGIN);
+        let outcome = gate_documents(&unknown, &unknown);
         assert!(outcome.failures[0].contains("unknown bench family"));
     }
 
     #[test]
     fn parse_errors_surface_as_failures() {
         let healthy_text = healthy().render();
-        assert!(
-            gate_texts("{", &healthy_text, DEFAULT_GATE_MARGIN).failures[0]
-                .contains("current document")
-        );
-        assert!(
-            gate_texts(&healthy_text, "[1,", DEFAULT_GATE_MARGIN).failures[0]
-                .contains("baseline document")
-        );
-        assert!(gate_texts(&healthy_text, &healthy_text, DEFAULT_GATE_MARGIN).passed());
+        assert!(gate_texts("{", &healthy_text).failures[0].contains("current document"));
+        assert!(gate_texts(&healthy_text, "[1,").failures[0].contains("baseline document"));
+        assert!(gate_texts(&healthy_text, &healthy_text).passed());
     }
 
     #[test]
     fn p95_limit_allows_exactly_one_bucket_jump() {
         // Baseline edge 2047; next bucket edge 4095 passes, 8191 fails.
-        assert!((4095f64) <= p95_limit(2047, DEFAULT_GATE_MARGIN));
-        assert!((8191f64) > p95_limit(2047, DEFAULT_GATE_MARGIN));
+        assert!((4095f64) <= p95_limit(2047.0));
+        assert!((8191f64) > p95_limit(2047.0));
     }
 
     /// `overload` is `(admitted, cooperative, shed, p95_ns)`; `None`
@@ -1071,6 +839,7 @@ mod tests {
                     ("admitted_per_sec", JsonValue::Num(admitted)),
                     ("cooperative_per_sec", JsonValue::Num(cooperative)),
                     ("requests_shed", JsonValue::Uint(shed)),
+                    ("latency_count", JsonValue::Uint(672)),
                     ("p95_ns", JsonValue::Uint(p95)),
                 ]),
             ));
@@ -1099,7 +868,7 @@ mod tests {
             true,
             &[(1, 8, 5e3, 512, 2047), (8, 32, 18e3, 2048, 4095)],
         );
-        let outcome = gate_documents(&doc, &doc, DEFAULT_GATE_MARGIN);
+        let outcome = gate_documents(&doc, &doc);
         assert!(outcome.passed(), "{:?}", outcome.failures);
         // 2 throughput + 1 floor + 2 p95 + 2 cooperative-shed
         // + overload shed/floor/p95.
@@ -1110,20 +879,24 @@ mod tests {
     fn serving_current_without_overload_object_fails() {
         let baseline = serving_doc(0.93, true, &[(8, 32, 18e3, 2048, 4095)]);
         let current = serving_doc_with(0.93, true, &[(8, 32, 18e3, 2048, 4095)], 0, None);
-        let outcome = gate_documents(&current, &baseline, DEFAULT_GATE_MARGIN);
+        let outcome = gate_documents(&current, &baseline);
         let failure = outcome.failures.join("\n");
         assert!(failure.contains("no overload object"), "{failure}");
     }
 
     #[test]
     fn serving_v1_baseline_downgrades_overload_p95_to_a_note() {
-        let baseline = serving_doc_with(0.93, true, &[(8, 32, 18e3, 2048, 4095)], 0, None);
         // The baseline's points also predate requests_shed.
+        let v1 = serving_doc_with(0.93, true, &[(8, 32, 18e3, 2048, 4095)], 0, None);
+        let baseline = strip(&v1, "requests_shed");
         let current = serving_doc(0.93, true, &[(8, 32, 18e3, 2048, 4095)]);
-        let outcome = gate_documents(&current, &baseline, DEFAULT_GATE_MARGIN);
+        let outcome = gate_documents(&current, &baseline);
         assert!(outcome.passed(), "{:?}", outcome.failures);
         assert!(
-            outcome.notes.iter().any(|n| n.contains("predates")),
+            outcome
+                .notes
+                .iter()
+                .any(|n| n.contains("baseline has no overload")),
             "{:?}",
             outcome.notes
         );
@@ -1138,7 +911,7 @@ mod tests {
             3,
             Some((17e3, 18e3, 5000, 4095)),
         );
-        let outcome = gate_documents(&doc, &doc, DEFAULT_GATE_MARGIN);
+        let outcome = gate_documents(&doc, &doc);
         let failure = outcome.failures.join("\n");
         assert!(failure.contains("cooperative point"), "{failure}");
     }
@@ -1152,7 +925,7 @@ mod tests {
             0,
             Some((17e3, 18e3, 0, 4095)),
         );
-        let outcome = gate_documents(&doc, &doc, DEFAULT_GATE_MARGIN);
+        let outcome = gate_documents(&doc, &doc);
         let failure = outcome.failures.join("\n");
         assert!(failure.contains("shed nothing"), "{failure}");
     }
@@ -1166,7 +939,7 @@ mod tests {
             0,
             Some((9e3, 18e3, 5000, 4095)),
         );
-        let outcome = gate_documents(&doc, &doc, DEFAULT_GATE_MARGIN);
+        let outcome = gate_documents(&doc, &doc);
         let failure = outcome.failures.join("\n");
         assert!(failure.contains("cannibalizing"), "{failure}");
     }
@@ -1187,15 +960,15 @@ mod tests {
             0,
             Some((17e3, 18e3, 5000, 16383)),
         );
-        let outcome = gate_documents(&current, &baseline, DEFAULT_GATE_MARGIN);
+        let outcome = gate_documents(&current, &baseline);
         let failure = outcome.failures.join("\n");
-        assert!(failure.contains("admitted p95 inflated"), "{failure}");
+        assert!(failure.contains("overload p95_ns inflated"), "{failure}");
     }
 
     #[test]
     fn serving_fraction_below_floor_fails() {
         let doc = serving_doc(0.7, true, &[(8, 32, 18e3, 2048, 4095)]);
-        let outcome = gate_documents(&doc, &doc, DEFAULT_GATE_MARGIN);
+        let outcome = gate_documents(&doc, &doc);
         let failure = outcome.failures.join("\n");
         assert!(failure.contains("fell to 0.70"), "{failure}");
         // A document that dropped the field cannot pass vacuously.
@@ -1211,7 +984,7 @@ mod tests {
                 ])]),
             ),
         ]);
-        let outcome = gate_documents(&missing, &missing, DEFAULT_GATE_MARGIN);
+        let outcome = gate_documents(&missing, &missing);
         assert!(outcome
             .failures
             .iter()
@@ -1222,7 +995,7 @@ mod tests {
     fn serving_throughput_regression_fails() {
         let baseline = serving_doc(0.93, true, &[(8, 32, 18e3, 2048, 4095)]);
         let current = serving_doc(0.93, true, &[(8, 32, 14e3, 2048, 4095)]);
-        let outcome = gate_documents(&current, &baseline, DEFAULT_GATE_MARGIN);
+        let outcome = gate_documents(&current, &baseline);
         let failure = outcome.failures.join("\n");
         assert!(
             failure.contains("throughput_per_sec regressed"),
@@ -1261,7 +1034,7 @@ mod tests {
             0.92,
             &[(1024, 5e4, 8e4, 4000, 12000), (4096, 2e4, 3e4, 4000, 40000)],
         );
-        let outcome = gate_documents(&doc, &doc, DEFAULT_GATE_MARGIN);
+        let outcome = gate_documents(&doc, &doc);
         assert!(outcome.passed(), "{:?}", outcome.failures);
         // 2 train + 2 classify + 2 p95 + 1 accuracy.
         assert_eq!(outcome.checks, 7);
@@ -1271,13 +1044,13 @@ mod tests {
     fn learn_throughput_regressions_fail() {
         let baseline = learn_doc(0.92, &[(1024, 5e4, 8e4, 4000, 12000)]);
         let slow_train = learn_doc(0.92, &[(1024, 3e4, 8e4, 4000, 12000)]);
-        let outcome = gate_documents(&slow_train, &baseline, DEFAULT_GATE_MARGIN);
+        let outcome = gate_documents(&slow_train, &baseline);
         assert!(outcome
             .failures
             .iter()
             .any(|f| f.contains("train_per_sec regressed")));
         let slow_classify = learn_doc(0.92, &[(1024, 5e4, 4e4, 4000, 12000)]);
-        let outcome = gate_documents(&slow_classify, &baseline, DEFAULT_GATE_MARGIN);
+        let outcome = gate_documents(&slow_classify, &baseline);
         assert!(outcome
             .failures
             .iter()
@@ -1289,34 +1062,25 @@ mod tests {
         let baseline = learn_doc(0.92, &[(1024, 5e4, 8e4, 4000, 12000)]);
         // One doubling passes (noise), past it fails.
         let doubled = learn_doc(0.92, &[(1024, 5e4, 8e4, 4000, 24000)]);
-        assert!(gate_documents(&doubled, &baseline, DEFAULT_GATE_MARGIN).passed());
+        assert!(gate_documents(&doubled, &baseline).passed());
         let inflated = learn_doc(0.92, &[(1024, 5e4, 8e4, 4000, 60000)]);
-        let outcome = gate_documents(&inflated, &baseline, DEFAULT_GATE_MARGIN);
+        let outcome = gate_documents(&inflated, &baseline);
         assert!(outcome
             .failures
             .iter()
-            .any(|f| f.contains("classify p95 inflated")));
+            .any(|f| f.contains("classify_p95_ns inflated")));
         // Accuracy: within the slack passes, past it fails.
         let noisy = learn_doc(0.89, &[(1024, 5e4, 8e4, 4000, 12000)]);
-        assert!(gate_documents(&noisy, &baseline, DEFAULT_GATE_MARGIN).passed());
+        assert!(gate_documents(&noisy, &baseline).passed());
         let broken = learn_doc(0.70, &[(1024, 5e4, 8e4, 4000, 12000)]);
-        let outcome = gate_documents(&broken, &baseline, DEFAULT_GATE_MARGIN);
+        let outcome = gate_documents(&broken, &baseline);
         assert!(outcome
             .failures
             .iter()
-            .any(|f| f.contains("stopped learning")));
+            .any(|f| f.contains("final_accuracy fell")));
         // A current document that dropped the field cannot pass.
-        let missing = learn_doc(f64::NAN, &[(1024, 5e4, 8e4, 4000, 12000)]);
-        let missing = match missing {
-            JsonValue::Obj(fields) => JsonValue::Obj(
-                fields
-                    .into_iter()
-                    .filter(|(k, _)| k != "final_accuracy")
-                    .collect(),
-            ),
-            other => other,
-        };
-        let outcome = gate_documents(&missing, &baseline, DEFAULT_GATE_MARGIN);
+        let missing = strip(&baseline, "final_accuracy");
+        let outcome = gate_documents(&missing, &baseline);
         assert!(outcome
             .failures
             .iter()
@@ -1327,12 +1091,145 @@ mod tests {
     fn serving_p95_two_bucket_inflation_fails_and_metrics_off_skips() {
         let baseline = serving_doc(0.93, true, &[(8, 32, 18e3, 2048, 2047)]);
         let inflated = serving_doc(0.93, true, &[(8, 32, 18e3, 2048, 8191)]);
-        let outcome = gate_documents(&inflated, &baseline, DEFAULT_GATE_MARGIN);
-        assert!(outcome.failures.iter().any(|f| f.contains("serving p95")));
+        let outcome = gate_documents(&inflated, &baseline);
+        assert!(outcome
+            .failures
+            .iter()
+            .any(|f| f.contains("[clients=8 pipeline=32] p95_ns inflated")));
         // Either side recorded with metrics off → p95 skipped, noted.
         let off = serving_doc(0.93, false, &[(8, 32, 18e3, 0, 0)]);
-        let outcome = gate_documents(&off, &baseline, DEFAULT_GATE_MARGIN);
+        let outcome = gate_documents(&off, &baseline);
         assert!(outcome.passed(), "{:?}", outcome.failures);
         assert!(outcome.notes.iter().any(|n| n.contains("metrics off")));
+    }
+
+    /// `doc` with `field` removed from every object in it.
+    fn strip(doc: &JsonValue, field: &str) -> JsonValue {
+        match doc {
+            JsonValue::Obj(fields) => JsonValue::Obj(
+                fields
+                    .iter()
+                    .filter(|(key, _)| key != field)
+                    .map(|(key, value)| (key.clone(), strip(value, field)))
+                    .collect(),
+            ),
+            JsonValue::Arr(items) => {
+                JsonValue::Arr(items.iter().map(|v| strip(v, field)).collect())
+            }
+            other => other.clone(),
+        }
+    }
+
+    #[test]
+    fn serving_point_without_p95_fails() {
+        let baseline = serving_doc(0.93, true, &[(8, 32, 18e3, 2048, 4095)]);
+        let outcome = gate_documents(&strip(&baseline, "p95_ns"), &baseline);
+        let failure = outcome.failures.join("\n");
+        assert!(
+            failure.contains("current point [clients=8 pipeline=32] has no p95_ns"),
+            "{failure}"
+        );
+        assert!(
+            failure.contains("current point overload has no p95_ns"),
+            "{failure}"
+        );
+    }
+
+    #[test]
+    fn learn_point_without_classify_p95_fails() {
+        let baseline = learn_doc(0.92, &[(1024, 5e4, 8e4, 4000, 12000)]);
+        let outcome = gate_documents(&strip(&baseline, "classify_p95_ns"), &baseline);
+        let failure = outcome.failures.join("\n");
+        assert!(
+            failure.contains("current point [dim=1024] has no classify_p95_ns"),
+            "{failure}"
+        );
+    }
+
+    #[test]
+    fn serving_overload_without_throughput_fields_fails() {
+        let baseline = serving_doc(0.93, true, &[(8, 32, 18e3, 2048, 4095)]);
+        // With both fields read as 0, `0 < 0.8 × 0` would hold the floor.
+        let current = strip(&strip(&baseline, "admitted_per_sec"), "cooperative_per_sec");
+        let outcome = gate_documents(&current, &baseline);
+        let failure = outcome.failures.join("\n");
+        assert!(
+            failure.contains("serving overload: no overload.admitted_per_sec"),
+            "{failure}"
+        );
+    }
+
+    #[test]
+    fn serving_points_without_requests_shed_fail() {
+        // The overload object is present, so only the cooperative
+        // never-shed check can catch points that dropped the field.
+        let baseline = serving_doc(0.93, true, &[(8, 32, 18e3, 2048, 4095)]);
+        let JsonValue::Obj(fields) = &baseline else {
+            unreachable!("serving_doc builds an object")
+        };
+        let current = JsonValue::Obj(
+            fields
+                .iter()
+                .map(|(key, value)| match key.as_str() {
+                    "points" => (key.clone(), strip(value, "requests_shed")),
+                    _ => (key.clone(), value.clone()),
+                })
+                .collect(),
+        );
+        let outcome = gate_documents(&current, &baseline);
+        let failure = outcome.failures.join("\n");
+        assert!(
+            failure.contains("cooperative point [clients=8 pipeline=32] has no requests_shed"),
+            "{failure}"
+        );
+    }
+
+    /// The spec against the real schema: every committed baseline gates
+    /// clean against itself, and every metric row of its family's spec
+    /// compares at least one point — a field name mistyped in the spec
+    /// fails here rather than passing against hand-written documents.
+    #[test]
+    fn committed_baselines_pass_against_themselves_and_match_every_row() {
+        let baselines = [
+            include_str!("../../../baselines/BENCH_engine.json"),
+            include_str!("../../../baselines/BENCH_packed_scan.json"),
+            include_str!("../../../baselines/BENCH_kernels.json"),
+            include_str!("../../../baselines/BENCH_serving.json"),
+            include_str!("../../../baselines/BENCH_learn.json"),
+        ];
+        let mut gated = Vec::new();
+        for text in baselines {
+            let outcome = gate_texts(text, text);
+            assert!(
+                outcome.passed(),
+                "{}: {:?}",
+                outcome.bench,
+                outcome.failures
+            );
+            let doc = JsonValue::parse(text).expect("committed baseline parses");
+            let family = FAMILIES
+                .iter()
+                .find(|family| family.bench == outcome.bench)
+                .expect("a spec for every committed baseline");
+            for spec in family.tables {
+                for row in spec.rows {
+                    let one_row = Table {
+                        rows: std::slice::from_ref(row),
+                        ..table(spec.path, spec.keys, &[])
+                    };
+                    let mut probe = GateOutcome::new(family.bench);
+                    one_row.diff(&doc, &doc, false, &mut probe);
+                    assert!(
+                        probe.checks > 0,
+                        "{}: {row:?} at {:?} matched no point",
+                        family.bench,
+                        spec.path
+                    );
+                }
+            }
+            gated.push(family.bench);
+        }
+        let specs: Vec<_> = FAMILIES.iter().map(|family| family.bench).collect();
+        assert_eq!(gated, specs, "one committed baseline per family");
     }
 }

@@ -5,7 +5,8 @@
 //! resonator network, the IMC factorizer, the C-I model), wall-clock and
 //! operation accounting, a TH-sweep driver, and plain-text table/CSV
 //! output. The `src/bin/*` binaries print the paper's series; the
-//! `benches/*` Criterion targets track the same workloads at reduced sizes.
+//! throughput sweeps emit the `BENCH_*.json` documents the `bench_gate`
+//! bin gates.
 //!
 //! Trials run data-parallel with `rayon`, standing in for the paper's
 //! batched GPU execution (DESIGN.md, substitution table).
@@ -28,9 +29,7 @@ pub use engine_bench::{
     engine_throughput_table, measure_batch, metrics_snapshot_json, thread_grid,
     verify_artifact_round_trip, MetricsReport, ThroughputPoint,
 };
-pub use gate::{
-    gate_documents, gate_texts, GateOutcome, CLIFF_MARGIN, DEFAULT_GATE_MARGIN, SERVING_FLOOR,
-};
+pub use gate::{gate_texts, GateOutcome, CLIFF_MARGIN, GATE_MARGIN, SERVING_FLOOR};
 pub use json::JsonValue;
 pub use kernel_bench::{
     kernel_bench_json, kernel_bench_table, kernel_points, measure_kernel,
