@@ -2,7 +2,8 @@
 //! (examples/sec through [`PrototypeModel::observe`], replay retention
 //! on), **classification latency** (p50/p95 of single-query
 //! [`PrototypeSnapshot::classify`](factorhd_engine::PrototypeSnapshot::classify)
-//! calls) over a dimension grid, and
+//! calls on ±1 queries, the form the CIFAR pipeline serves) over a
+//! dimension grid, and
 //! the **accuracy-vs-epochs** retraining curve on the simulated CIFAR
 //! pipeline.
 //!
@@ -84,8 +85,16 @@ fn measure_point(dim: usize, reps: usize, examples: usize, queries: usize) -> Le
     let train_set: Vec<(usize, AccumHv)> = (0..examples)
         .map(|i| (i % LEARN_CLASSES, example(dim, i % LEARN_CLASSES, i as u64)))
         .collect();
+    // Queries take the served form, a ±1 encoding like the CIFAR
+    // pipeline's, which `classify` packs and scans with the popcount
+    // kernels. (The weighted training examples would take the scalar
+    // fallback.)
     let query_set: Vec<AccumHv> = (0..queries)
-        .map(|i| example(dim, i % LEARN_CLASSES, 50_000 + i as u64))
+        .map(|i| {
+            example(dim, i % LEARN_CLASSES, 50_000 + i as u64)
+                .sign_bipolar()
+                .to_accum()
+        })
         .collect();
 
     // Train throughput: a fresh model per rep (observe mutates), best

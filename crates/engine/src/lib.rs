@@ -14,10 +14,13 @@
 //! * **Online learning** ([`Train`] / [`Retrain`] / [`Classify`], built
 //!   on `factorhd-learn`): learnable models carry per-class prototype
 //!   accumulators; `Train` bundles labelled examples in, `Retrain` runs
-//!   misclassification-driven correction epochs over the replay buffer,
-//!   and `Classify` scans a ternary/packed snapshot published
-//!   atomically by the registry after every successful training op —
-//!   readers never block on a retrain (see docs/LEARNING.md).
+//!   misclassification-driven correction epochs over the replay buffer
+//!   (scored by cosine on the integer accumulators), and `Classify`
+//!   scans a sign-binarized snapshot published atomically by the
+//!   registry after every successful training op — a query in
+//!   `{-1, 0, 1}` by one word-level pack plus a popcount scan, any other
+//!   query by the scalar reference scan — so readers never block on a
+//!   retrain (see docs/LEARNING.md).
 //! * **Models** ([`ModelState`] / [`ModelRegistry`]): a model bundles a
 //!   taxonomy with its memoized parts (label-elimination masks, shared
 //!   codebooks and clauses, the Rep-3 reconstruction memo). A registry

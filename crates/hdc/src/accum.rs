@@ -5,7 +5,7 @@
 //! scene representation and all intermediate unbinding results live here.
 
 use crate::ops::{Bind, Bundle, Permute};
-use crate::{BipolarHv, TernaryHv, WORD_BITS};
+use crate::{words_for, BipolarHv, TernaryHv, WORD_BITS};
 use std::fmt;
 
 /// An integer-valued hypervector in `Z^D`, the bundling accumulator.
@@ -123,9 +123,20 @@ impl AccumHv {
             self.dim,
             rhs.dim()
         );
-        for i in 0..self.dim {
-            self.data[i] += weight * rhs.component(i) as i32;
-        }
+        unpack_words(
+            rhs.sign_words(),
+            Some(rhs.mask_words()),
+            weight,
+            true,
+            &mut self.data,
+        );
+    }
+
+    /// Overwrites every component with the `{-1, 0, 1}` value the packed
+    /// planes hold (`mask == None` means dense, every component `±1`),
+    /// a word at a time.
+    pub(crate) fn assign_planes(&mut self, sign: &[u64], mask: Option<&[u64]>) {
+        unpack_words(sign, mask, 1, false, &mut self.data);
     }
 
     /// Adds another accumulator in place.
@@ -254,30 +265,41 @@ impl AccumHv {
     /// The conversion is lossless, so similarity kernels running on the
     /// returned [`TernaryHv`] produce bit-identical integer dot products
     /// while replacing per-component scalar loops with word-level
-    /// popcounts — the fast path the factorizer takes when it can.
+    /// popcounts — the fast path the factorizer takes when it can. The
+    /// components are packed a word at a time, and the check stops at
+    /// the first word holding an out-of-range value.
     pub fn to_ternary_lossless(&self) -> Option<TernaryHv> {
-        if self.data.iter().any(|&v| !(-1..=1).contains(&v)) {
+        let (sign, mask) = self.planes(true)?;
+        Some(TernaryHv::from_planes(mask, sign, self.dim))
+    }
+
+    /// The `(sign, mask)` planes of the components packed a word at a
+    /// time; with `lossless_only`, `None` at the first word holding a
+    /// value outside `{-1, 0, 1}`.
+    pub(crate) fn planes(&self, lossless_only: bool) -> Option<(Vec<u64>, Vec<u64>)> {
+        // A multi-object bundle is usually out of range in its first
+        // word already: reject it there, before allocating the planes.
+        let head = &self.data[..self.dim.min(WORD_BITS)];
+        if lossless_only && !pack_words(head, &mut [0], &mut [0], true) {
             return None;
         }
-        let comps: Vec<i8> = self.data.iter().map(|&v| v as i8).collect();
-        Some(TernaryHv::from_components(&comps).expect("dim > 0 by construction"))
+        let n = words_for(self.dim);
+        let (mut sign, mut mask) = (vec![0; n], vec![0; n]);
+        let lossless = pack_words(&self.data, &mut sign, &mut mask, lossless_only);
+        (lossless || !lossless_only).then_some((sign, mask))
     }
 
     /// Clips to `{-1, 0, 1}` by sign, the FactorHD clause normalization.
     pub fn clip_ternary(&self) -> TernaryHv {
-        let comps: Vec<i8> = self.data.iter().map(|&v| v.signum() as i8).collect();
-        TernaryHv::from_components(&comps).expect("dim > 0 by construction")
+        let (sign, mask) = self.planes(false).expect("clipping never stops early");
+        TernaryHv::from_planes(mask, sign, self.dim)
     }
 
     /// Collapses to bipolar by sign; zero components resolve to `+1`
     /// (deterministic tie-breaking, documented behaviour).
     pub fn sign_bipolar(&self) -> BipolarHv {
-        let comps: Vec<i8> = self
-            .data
-            .iter()
-            .map(|&v| if v < 0 { -1 } else { 1 })
-            .collect();
-        BipolarHv::from_components(&comps).expect("dim > 0 by construction")
+        let (sign, _) = self.planes(false).expect("packing never stops early");
+        BipolarHv::from_words(sign, self.dim)
     }
 
     /// Exact integer dot product with a bipolar vector.
@@ -430,6 +452,146 @@ impl fmt::Debug for AccumHv {
             .field("dim", &self.dim)
             .field("head", &preview)
             .finish()
+    }
+}
+
+// ----- Packing at the accumulator boundary -----
+//
+// The loops below move components between `i32`s and the sign / non-zero
+// bit planes the packed scans read, a word (64 components) at a time.
+// Each works on one 32-lane half of a word with no branch in its body,
+// the width the compiler vectorizes without target-specific code.
+
+const HALF_BITS: usize = WORD_BITS / 2;
+
+/// Sign bits, non-zero bits and an out-of-range flag (non-zero when a
+/// component lies outside `{-1, 0, 1}`) of 32 components.
+#[inline]
+fn pack_half(half: &[i32; HALF_BITS]) -> (u32, u32, u32) {
+    let (mut sign, mut mask, mut bad) = (0u32, 0u32, 0u32);
+    for (b, &v) in half.iter().enumerate() {
+        // Lane masks ANDed with the lane's constant bit: unlike a shift
+        // by `b`, this vectorizes on baseline x86-64 (SSE2).
+        let bit = 1u32 << b;
+        sign |= (v >> 31) as u32 & bit;
+        mask |= (-i32::from(v != 0)) as u32 & bit;
+        bad |= u32::from(v.wrapping_add(1) as u32 > 2);
+    }
+    (sign, mask, bad)
+}
+
+/// `(sign, mask, lossless)` of 64 components.
+#[inline]
+fn pack_word(chunk: &[i32; WORD_BITS]) -> (u64, u64, bool) {
+    let (lo, hi) = chunk.split_at(HALF_BITS);
+    let (s0, m0, bad0) = pack_half(lo.try_into().expect("half a word"));
+    let (s1, m1, bad1) = pack_half(hi.try_into().expect("half a word"));
+    (
+        u64::from(s0) | u64::from(s1) << HALF_BITS,
+        u64::from(m0) | u64::from(m1) << HALF_BITS,
+        bad0 | bad1 == 0,
+    )
+}
+
+/// Packs `data` into bit planes a word at a time: bit `i` of `sign` is
+/// set ⇔ `data[i] < 0`, bit `i` of `mask` ⇔ `data[i] != 0`, and padding
+/// bits past `data.len()` come out clear (the final partial word is
+/// packed from a zero-padded copy). Returns `true` when every component
+/// lies in `{-1, 0, 1}`. With `stop_at_lossy` the packing stops at the
+/// first word holding another value and returns `false`, leaving the
+/// later words of the planes untouched.
+///
+/// # Panics
+///
+/// Panics unless both planes hold exactly one word per 64 components.
+fn pack_words(data: &[i32], sign: &mut [u64], mask: &mut [u64], stop_at_lossy: bool) -> bool {
+    let words = words_for(data.len());
+    assert!(sign.len() == words && mask.len() == words, "plane length");
+    let mut lossless = true;
+    let mut tail = [0i32; WORD_BITS];
+    for (w, run) in data.chunks(WORD_BITS).enumerate() {
+        let chunk: &[i32; WORD_BITS] = match run.try_into() {
+            Ok(full) => full,
+            Err(_) => {
+                tail[..run.len()].copy_from_slice(run);
+                &tail
+            }
+        };
+        let (s, m, word_lossless) = pack_word(chunk);
+        sign[w] = s;
+        mask[w] = m;
+        lossless &= word_lossless;
+        if stop_at_lossy && !lossless {
+            return false;
+        }
+    }
+    lossless
+}
+
+/// `out[b] = (out[b] & keep) + weight · c[b]` over 32 components, with
+/// `keep` all-ones (accumulate) or zero (assign) and `weight · c` formed
+/// as a conditional negation instead of a multiply.
+#[inline]
+fn unpack_half(sign: u32, mask: u32, weight: i32, keep: i32, out: &mut [i32; HALF_BITS]) {
+    for (b, o) in out.iter_mut().enumerate() {
+        let bit = 1u32 << b;
+        let nonzero = -i32::from(mask & bit != 0);
+        let negative = -i32::from(sign & bit != 0) & nonzero;
+        *o = (*o & keep) + (((weight & nonzero) ^ negative) - negative);
+    }
+}
+
+/// [`unpack_half`] over one packed word and 64 components of `out`.
+#[inline]
+fn unpack_word(sign: u64, mask: u64, weight: i32, keep: i32, out: &mut [i32; WORD_BITS]) {
+    let (lo, hi) = out.split_at_mut(HALF_BITS);
+    let (lo, hi) = (
+        lo.try_into().expect("half a word"),
+        hi.try_into().expect("half a word"),
+    );
+    unpack_half(sign as u32, mask as u32, weight, keep, lo);
+    let (sign, mask) = ((sign >> HALF_BITS) as u32, (mask >> HALF_BITS) as u32);
+    unpack_half(sign, mask, weight, keep, hi);
+}
+
+/// Expands packed planes into `out` a word at a time: component `i` has
+/// value `c = 0` where `mask` bit `i` is clear, `-1` where the `sign` bit
+/// is set and `+1` otherwise (`mask == None`: no zero component). With
+/// `accumulate`, `out[i] += weight · c`; without, `out[i] = weight · c`.
+/// A final partial word is expanded through a padded copy of its run.
+///
+/// # Panics
+///
+/// Panics unless the planes hold exactly one word per 64 components of
+/// `out`.
+fn unpack_words(
+    sign: &[u64],
+    mask: Option<&[u64]>,
+    weight: i32,
+    accumulate: bool,
+    out: &mut [i32],
+) {
+    let words = words_for(out.len());
+    assert!(
+        sign.len() == words && mask.is_none_or(|m| m.len() == words),
+        "plane length"
+    );
+    let keep = -i32::from(accumulate);
+    let planes = |w: usize| (sign[w], mask.map_or(u64::MAX, |m| m[w]));
+    let mut runs = out.chunks_exact_mut(WORD_BITS);
+    let mut words = 0;
+    for run in runs.by_ref() {
+        let (s, m) = planes(words);
+        unpack_word(s, m, weight, keep, run.try_into().expect("exact chunk"));
+        words += 1;
+    }
+    let rest = runs.into_remainder();
+    if !rest.is_empty() {
+        let mut tail = [0i32; WORD_BITS];
+        tail[..rest.len()].copy_from_slice(rest);
+        let (s, m) = planes(words);
+        unpack_word(s, m, weight, keep, &mut tail);
+        rest.copy_from_slice(&tail[..rest.len()]);
     }
 }
 

@@ -73,6 +73,14 @@ impl BipolarHv {
         Ok(hv)
     }
 
+    /// Builds from packed sign words whose padding bits are already
+    /// clear.
+    pub(crate) fn from_words(words: Vec<u64>, dim: usize) -> Self {
+        debug_assert_eq!(words.len(), words_for(dim));
+        debug_assert_eq!(words.last().map(|w| w & !crate::tail_mask(dim)), Some(0));
+        BipolarHv { words, dim }
+    }
+
     /// The dimensionality `D`.
     #[inline]
     pub fn dim(&self) -> usize {

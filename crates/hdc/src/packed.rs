@@ -303,9 +303,36 @@ impl PackedHv {
 
     /// Packs an integer accumulator whose components all lie in
     /// `{-1, 0, 1}`, or `None` when any component is out of range (the
-    /// packed form would be lossy).
+    /// packed form would be lossy). The components are packed a word at
+    /// a time and the check stops at the first word holding an
+    /// out-of-range value. An accumulator with no zero component packs
+    /// to the dense (maskless) form, as [`PackedHv::from_ternary`] does.
     pub fn from_accum_lossless(hv: &AccumHv) -> Option<Self> {
-        hv.to_ternary_lossless().map(|t| PackedHv::from_ternary(&t))
+        let (sign, mask) = hv.planes(true)?;
+        let nonzero: usize = mask.iter().map(|w| w.count_ones() as usize).sum();
+        Some(PackedHv {
+            sign,
+            mask: (nonzero != hv.dim()).then_some(mask),
+            dim: hv.dim(),
+        })
+    }
+
+    /// Expands into `out`, overwriting every component with its
+    /// `{-1, 0, 1}` value a word at a time — the inverse of
+    /// [`PackedHv::from_accum_lossless`] into a reused accumulator.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the dimensions differ.
+    pub fn expand_into(&self, out: &mut AccumHv) {
+        assert_eq!(
+            self.dim,
+            out.dim(),
+            "dimension mismatch: {} vs {}",
+            self.dim,
+            out.dim()
+        );
+        out.assign_planes(&self.sign, self.mask.as_deref());
     }
 
     /// The dimensionality `D`.

@@ -253,7 +253,7 @@ impl TernaryHv {
     /// Expands into an integer accumulator.
     pub fn to_accum(&self) -> AccumHv {
         let mut acc = AccumHv::zeros(self.dim);
-        acc.add_ternary(self, 1);
+        acc.assign_planes(&self.sign, Some(&self.mask));
         acc
     }
 

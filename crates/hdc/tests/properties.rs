@@ -255,3 +255,129 @@ proptest! {
         prop_assert_eq!(v.dot(&v), 65);
     }
 }
+
+// ----------------------------------------------------------------------
+// Word-level packing at the accumulator boundary vs the per-component
+// constructors: every packer must reproduce them bit for bit, keep the
+// padding bits of the last word clear, and refuse out-of-range values.
+// ----------------------------------------------------------------------
+
+fn arb_pack_dim() -> impl Strategy<Value = usize> {
+    prop_oneof![Just(1usize), Just(63), Just(64), Just(65), Just(4097)]
+}
+
+/// Components in `{-1, 0, 1}` (`dense`: in `{-1, 1}`) drawn from `seed`.
+fn unit_components(dim: usize, seed: u64, dense: bool) -> Vec<i8> {
+    (0..dim)
+        .map(|i| {
+            let r = hdc::derive_seed(&[seed, i as u64]);
+            if dense {
+                if r.is_multiple_of(2) {
+                    1
+                } else {
+                    -1
+                }
+            } else {
+                (r % 3) as i8 - 1
+            }
+        })
+        .collect()
+}
+
+fn accum_of(comps: &[i8]) -> AccumHv {
+    AccumHv::from_components(comps.iter().map(|&c| i32::from(c)).collect())
+}
+
+/// Asserts the padding bits past `dim` are clear in every little-endian
+/// plane of `bytes` (planes of `words_for(dim)` words each).
+fn padding_clear(bytes: &[u8], dim: usize) -> bool {
+    let words = dim.div_ceil(64);
+    let rem = dim % 64;
+    bytes.chunks_exact(words * 8).all(|plane| {
+        let last = u64::from_le_bytes(plane[plane.len() - 8..].try_into().expect("8 bytes"));
+        rem == 0 || last >> rem == 0
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn word_packers_match_per_component_reference((dim, seed) in arb_pack_dim().prop_flat_map(|d| (Just(d), any::<u64>()))) {
+        for dense in [false, true] {
+            let comps = unit_components(dim, seed, dense);
+            let acc = accum_of(&comps);
+            let ternary = TernaryHv::from_components(&comps).expect("unit components");
+
+            let lossless = acc.to_ternary_lossless().expect("in range");
+            prop_assert_eq!(&lossless, &ternary);
+            prop_assert_eq!(acc.clip_ternary(), ternary.clone());
+            prop_assert_eq!(
+                PackedHv::from_accum_lossless(&acc).expect("in range"),
+                PackedHv::from_ternary(&ternary)
+            );
+            let signs: Vec<i8> = comps.iter().map(|&c| if c < 0 { -1 } else { 1 }).collect();
+            let bipolar = BipolarHv::from_components(&signs).expect("signs");
+            prop_assert_eq!(acc.sign_bipolar(), bipolar.clone());
+            prop_assert!(padding_clear(&lossless.to_le_bytes(), dim));
+            prop_assert!(padding_clear(&acc.sign_bipolar().to_le_bytes(), dim));
+
+            // The opposite direction: expansion and accumulation.
+            prop_assert_eq!(ternary.to_accum(), acc.clone());
+            let mut expanded = AccumHv::from_components(vec![7; dim]);
+            PackedHv::from_ternary(&ternary).expand_into(&mut expanded);
+            prop_assert_eq!(&expanded, &acc);
+            let base: Vec<i32> = (0..dim as i32).map(|i| i - 3).collect();
+            let mut summed = AccumHv::from_components(base.clone());
+            summed.add_ternary(&ternary, -3);
+            let reference: Vec<i32> = base.iter().zip(&comps).map(|(&b, &c)| b - 3 * i32::from(c)).collect();
+            prop_assert_eq!(summed.components(), &reference[..]);
+        }
+    }
+
+    #[test]
+    fn clipping_matches_reference_on_any_integers((dim, seed) in arb_pack_dim().prop_flat_map(|d| (Just(d), any::<u64>()))) {
+        let values: Vec<i32> = (0..dim)
+            .map(|i| match hdc::derive_seed(&[seed, i as u64]) % 6 {
+                0 => i32::MIN,
+                1 => i32::MAX,
+                r => r as i32 - 4,
+            })
+            .collect();
+        let acc = AccumHv::from_components(values.clone());
+        let clipped: Vec<i8> = values.iter().map(|v| v.signum() as i8).collect();
+        prop_assert_eq!(acc.clip_ternary(), TernaryHv::from_components(&clipped).expect("signs"));
+        let signs: Vec<i8> = values.iter().map(|&v| if v < 0 { -1 } else { 1 }).collect();
+        prop_assert_eq!(acc.sign_bipolar(), BipolarHv::from_components(&signs).expect("signs"));
+    }
+
+    #[test]
+    fn out_of_range_components_do_not_pack((dim, seed, at) in arb_pack_dim().prop_flat_map(|d| (Just(d), any::<u64>(), 0..d))) {
+        for bad in [2, -2, i32::MIN, i32::MAX] {
+            let mut values: Vec<i32> = unit_components(dim, seed, false).iter().map(|&c| i32::from(c)).collect();
+            values[at] = bad;
+            let acc = AccumHv::from_components(values);
+            prop_assert!(acc.to_ternary_lossless().is_none(), "{} at {}", bad, at);
+            prop_assert!(PackedHv::from_accum_lossless(&acc).is_none(), "{} at {}", bad, at);
+        }
+    }
+
+    #[test]
+    fn lossless_accum_scan_matches_reference_bits((dim, seed, m, k, dense) in arb_dim().prop_flat_map(|d| (Just(d), any::<u64>(), 1usize..24, 0usize..32, any::<bool>()))) {
+        // Small dims force exact similarity ties: the packed form of a
+        // lossless accumulator must scan in the reference's tie order and
+        // produce the same similarity bits.
+        let cb = Codebook::derive(seed, m, dim);
+        let acc = accum_of(&unit_components(dim, seed ^ 0x5EED, dense));
+        let packed = PackedHv::from_accum_lossless(&acc).expect("in range");
+        let expected = cb.top_k(&acc, k);
+        let got = packed.scan_top_k(&cb, k);
+        prop_assert_eq!(got.len(), expected.len());
+        for (g, e) in got.iter().zip(&expected) {
+            prop_assert_eq!(g.index, e.index);
+            prop_assert_eq!(g.sim.to_bits(), e.sim.to_bits());
+        }
+        let th = 0.05;
+        prop_assert_eq!(packed.scan_above_threshold(&cb, th), cb.above_threshold(&acc, th));
+    }
+}

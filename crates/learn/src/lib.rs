@@ -9,12 +9,19 @@
 //! * [`PrototypeModel`] — the mutable staging model: one [`AccumHv`]
 //!   accumulator per class, bundled from examples by exact integer
 //!   addition, plus a bounded replay buffer of retained examples that
-//!   the retraining loop iterates over.
+//!   the retraining loop iterates over. A retained example whose
+//!   components all fit `{-1, 0, 1}` (every bipolar or ternary
+//!   encoding) is stored packed: at most 2 bits per component, 1 KiB
+//!   instead of 16 KiB at D = 4096 (512 B for a ±1 example). Any other
+//!   example is stored as its accumulator.
 //! * [`PrototypeSnapshot`] — an immutable, sign-binarized view of the
-//!   prototypes packed into a [`Codebook`], so classification takes the
-//!   same word-level scan path as factorization. Snapshots are what
-//!   readers classify against; publishing a new snapshot never blocks
-//!   them.
+//!   prototypes packed into a [`Codebook`] whose packed scan table is
+//!   built when the snapshot is made. A query that packs losslessly into
+//!   `{-1, 0, 1}` is classified by one word-level pack plus a popcount
+//!   scan of the table, the same path factorization scans take; any
+//!   other query falls back to the scalar reference scan, with identical
+//!   results. Snapshots are what readers classify against; publishing a
+//!   new snapshot never blocks them.
 //! * [`Learner`] — the thread-safe wrapper the serving engine stores:
 //!   writers lock the staging [`PrototypeModel`], readers only ever see
 //!   published snapshots.
@@ -30,9 +37,11 @@
 //! * the replay buffer is keyed by the caller-assigned sample id in a
 //!   `BTreeMap`, so its iteration order (and capacity eviction) depends
 //!   only on the id set, not on arrival order;
-//! * retraining walks the replay buffer sequentially in id order with
-//!   exact integer dot products; similarity ties resolve to the lowest
-//!   class index.
+//! * retraining walks the replay buffer sequentially in id order and
+//!   scores each example by cosine on the *integer* accumulators (exact
+//!   integer dot products over float norms), not against the
+//!   sign-binarized snapshot that serves `classify`; similarity ties
+//!   resolve to the lowest class index.
 //!
 //! # Quickstart
 //!
@@ -64,7 +73,7 @@ use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
 
-use hdc::{AccumHv, Codebook};
+use hdc::{AccumHv, Codebook, CodebookScan, PackedHv};
 use parking_lot::Mutex;
 
 /// Default bound on the number of retained examples per model
@@ -212,7 +221,37 @@ pub struct PrototypeModel {
     counts: Vec<u64>,
     epoch: u64,
     /// sample id → (class label, example). Not persisted in artifacts.
-    replay: BTreeMap<u64, (u32, AccumHv)>,
+    replay: BTreeMap<u64, (u32, Retained)>,
+}
+
+/// One example in the replay buffer: packed when every component fits
+/// `{-1, 0, 1}` (at most 2 bits per component instead of 32), the
+/// accumulator itself otherwise.
+#[derive(Debug, Clone, PartialEq)]
+enum Retained {
+    Packed(PackedHv),
+    Accum(AccumHv),
+}
+
+impl Retained {
+    fn new(example: &AccumHv) -> Self {
+        match PackedHv::from_accum_lossless(example) {
+            Some(packed) => Retained::Packed(packed),
+            None => Retained::Accum(example.clone()),
+        }
+    }
+
+    /// The example as an accumulator: borrowed when stored as one,
+    /// otherwise expanded into `scratch` (every component overwritten).
+    fn view<'a>(&'a self, scratch: &'a mut AccumHv) -> &'a AccumHv {
+        match self {
+            Retained::Accum(example) => example,
+            Retained::Packed(packed) => {
+                packed.expand_into(scratch);
+                scratch
+            }
+        }
+    }
 }
 
 impl PrototypeModel {
@@ -292,8 +331,10 @@ impl PrototypeModel {
         }
         self.accums[class].add_accum(example);
         self.counts[class] += 1;
-        if retain {
-            self.replay.insert(sample, (class as u32, example.clone()));
+        // Skip building an entry that the capacity bound drops at once.
+        if retain && !self.evicted_on_arrival(sample) {
+            self.replay
+                .insert(sample, (class as u32, Retained::new(example)));
             while self.replay.len() > self.config.max_retained {
                 let largest = *self.replay.keys().next_back().expect("non-empty");
                 self.replay.remove(&largest);
@@ -307,14 +348,25 @@ impl PrototypeModel {
         })
     }
 
-    /// The class the current accumulators assign to `example`, by
+    /// Whether retaining `sample` would evict it on arrival: the buffer
+    /// is at capacity and every retained id is smaller.
+    fn evicted_on_arrival(&self, sample: u64) -> bool {
+        self.replay.len() >= self.config.max_retained
+            && self
+                .replay
+                .keys()
+                .next_back()
+                .is_none_or(|&largest| sample > largest)
+    }
+
+    /// The class the accumulators `accums` assign to `example`, by
     /// cosine similarity with ties to the lowest class index. Zero
     /// norms score 0.
-    fn predict_staged(&self, example: &AccumHv) -> usize {
+    fn predict_staged(accums: &[AccumHv], example: &AccumHv) -> usize {
         let example_norm = example.norm();
         let mut best = 0usize;
         let mut best_sim = f64::NEG_INFINITY;
-        for (class, accum) in self.accums.iter().enumerate() {
+        for (class, accum) in accums.iter().enumerate() {
             let denom = example_norm * accum.norm();
             let sim = if denom == 0.0 {
                 0.0
@@ -330,18 +382,23 @@ impl PrototypeModel {
     }
 
     /// One chopin2-style pass over the replay buffer: every example the
-    /// current accumulators misclassify is subtracted from the wrong
-    /// prototype and added to the right one. Returns the number of
-    /// errors made (before correction) this pass.
+    /// current accumulators misclassify (by cosine on the integer
+    /// accumulators) is subtracted from the wrong prototype and added to
+    /// the right one. Returns the number of errors made (before
+    /// correction) this pass.
+    ///
+    /// The buffer is read in place; each packed example is expanded into
+    /// one reused accumulator.
     pub fn retrain_epoch(&mut self) -> u64 {
         let mut errors = 0u64;
-        let samples: Vec<u64> = self.replay.keys().copied().collect();
-        for sample in samples {
-            let (label, example) = self.replay.get(&sample).expect("retained").clone();
-            let predicted = self.predict_staged(&example);
-            if predicted != label as usize {
-                self.accums[predicted].sub_accum(&example);
-                self.accums[label as usize].add_accum(&example);
+        let mut scratch = AccumHv::zeros(self.config.dim);
+        for (label, retained) in self.replay.values() {
+            let example = retained.view(&mut scratch);
+            let predicted = Self::predict_staged(&self.accums, example);
+            let label = *label as usize;
+            if predicted != label {
+                self.accums[predicted].sub_accum(example);
+                self.accums[label].add_accum(example);
                 errors += 1;
             }
         }
@@ -372,10 +429,14 @@ impl PrototypeModel {
     /// An immutable classification snapshot of the current prototypes:
     /// each accumulator sign-binarized (zero components resolve to
     /// `+1`) and packed into a [`Codebook`] for word-level scanning.
+    ///
+    /// The codebook's packed scan table is built here, by the writer, so
+    /// no reader builds it on its first `classify`.
     pub fn snapshot(&self) -> Result<PrototypeSnapshot, LearnError> {
         let items: Vec<_> = self.accums.iter().map(AccumHv::sign_bipolar).collect();
         let prototypes = Codebook::from_items(items)
             .map_err(|e| LearnError::InvalidConfig(format!("snapshot codebook: {e}")))?;
+        prototypes.packed_view();
         Ok(PrototypeSnapshot {
             prototypes,
             counts: self.counts.clone(),
@@ -460,6 +521,10 @@ impl PrototypeSnapshot {
     /// Scores `query` against every class prototype and returns the
     /// best `top_k` classes by normalized dot similarity (ties resolve
     /// to the lowest class index).
+    ///
+    /// A query whose components all fit `{-1, 0, 1}` is packed a word at
+    /// a time and scanned with the popcount kernels; any other query
+    /// takes the scalar reference scan. Both give identical hits.
     pub fn classify(&self, query: &AccumHv, top_k: usize) -> Result<Classification, LearnError> {
         if query.dim() != self.dim() {
             return Err(LearnError::DimMismatch {
@@ -468,9 +533,11 @@ impl PrototypeSnapshot {
             });
         }
         let k = top_k.max(1).min(self.classes());
-        let hits = self
-            .prototypes
-            .top_k(query, k)
+        let hits = match PackedHv::from_accum_lossless(query) {
+            Some(packed) => packed.scan_top_k(&self.prototypes, k),
+            None => self.prototypes.top_k(query, k),
+        };
+        let hits = hits
             .into_iter()
             .map(|hit| ClassHit {
                 class: hit.index,
@@ -719,6 +786,40 @@ mod tests {
     }
 
     #[test]
+    fn replay_buffer_matches_insert_then_evict() {
+        // Ids in mixed order with repeats: after every observe the buffer
+        // holds what inserting each example (overwriting a repeated id)
+        // and then evicting the largest ids down to capacity leaves.
+        for capacity in [0usize, 4] {
+            let mut config = LearnConfig::new(1, 8);
+            config.max_retained = capacity;
+            let mut model = PrototypeModel::new(config).expect("valid");
+            let mut reference: BTreeMap<u64, AccumHv> = BTreeMap::new();
+            let mut rng = rng_from_seed(42);
+            for sample in [0u64, 5, 1, 7, 2, 3, 6, 4, 1, 9, 2, 0, 3] {
+                let example = random_example(8, &mut rng);
+                let ack = model.observe(0, sample, &example, true).expect("valid");
+                reference.insert(sample, example);
+                while reference.len() > capacity {
+                    reference.pop_last();
+                }
+                assert_eq!(ack.retained, reference.len() as u64);
+                let mut scratch = AccumHv::zeros(8);
+                let held: Vec<(u64, AccumHv)> = model
+                    .replay
+                    .iter()
+                    .map(|(&id, (_, retained))| (id, retained.view(&mut scratch).clone()))
+                    .collect();
+                let expected: Vec<(u64, AccumHv)> = reference
+                    .iter()
+                    .map(|(&id, example)| (id, example.clone()))
+                    .collect();
+                assert_eq!(held, expected, "capacity {capacity}, after id {sample}");
+            }
+        }
+    }
+
+    #[test]
     fn duplicate_sample_ids_overwrite() {
         let mut model = PrototypeModel::new(LearnConfig::new(2, 8)).expect("valid");
         let mut rng = rng_from_seed(51);
@@ -729,7 +830,7 @@ mod tests {
         assert_eq!(model.retained(), 1);
         let (label, example) = model.replay.get(&7).expect("retained");
         assert_eq!(*label, 1);
-        assert_eq!(example, &second);
+        assert_eq!(example.view(&mut AccumHv::zeros(8)), &second);
     }
 
     #[test]
@@ -836,6 +937,80 @@ mod tests {
             ),
             Err(LearnError::DimMismatch { .. })
         ));
+    }
+
+    /// A model with `classes` prototypes trained on random examples under
+    /// cycling labels (so retraining has errors to correct), with every
+    /// fourth example scaled ×2 so the replay buffer mixes packed and
+    /// unpacked entries.
+    fn mixed_model(classes: usize, dim: usize, seed: u64) -> (PrototypeModel, Vec<AccumHv>) {
+        let mut model = PrototypeModel::new(LearnConfig::new(classes, dim)).expect("valid");
+        let mut rng = rng_from_seed(seed);
+        let mut examples = Vec::new();
+        for sample in 0..96u64 {
+            let mut example = random_example(dim, &mut rng);
+            if sample % 4 == 3 {
+                example.scale(2);
+            }
+            let class = sample as usize % classes;
+            model.observe(class, sample, &example, true).expect("valid");
+            examples.push(example);
+        }
+        (model, examples)
+    }
+
+    #[test]
+    fn classify_matches_scalar_reference_for_every_query_kind() {
+        let (classes, dim) = (5, 130);
+        let (mut model, _) = mixed_model(classes, dim, 111);
+        model.retrain(2);
+        let snapshot = model.snapshot().expect("snapshot");
+        let mut rng = rng_from_seed(112);
+        for _ in 0..20 {
+            let bipolar = random_example(dim, &mut rng);
+            let ternary = AccumHv::from_components(
+                (0..dim).map(|_| rng.gen_range(0..3) as i32 - 1).collect(),
+            );
+            let mut wide = random_example(dim, &mut rng);
+            wide.add_accum(&ternary);
+            assert!(PackedHv::from_accum_lossless(&wide).is_none());
+            for query in [&bipolar, &ternary, &wide] {
+                for k in [1, 3, classes] {
+                    let got = snapshot.classify(query, k).expect("classifies");
+                    let expected = snapshot.prototypes().top_k(query, k);
+                    assert_eq!(got.hits.len(), expected.len());
+                    for (hit, reference) in got.hits.iter().zip(&expected) {
+                        assert_eq!(hit.class, reference.index);
+                        assert_eq!(hit.sim.to_bits(), reference.sim.to_bits());
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn retrain_over_mixed_buffer_matches_unpacked_buffer() {
+        let (mut mixed, examples) = mixed_model(3, 100, 121);
+        let kinds: Vec<bool> = mixed
+            .replay
+            .values()
+            .map(|(_, r)| matches!(r, Retained::Packed(_)))
+            .collect();
+        assert!(
+            kinds.contains(&true) && kinds.contains(&false),
+            "buffer is mixed"
+        );
+        let mut unpacked = mixed.clone();
+        for (sample, (_, retained)) in unpacked.replay.iter_mut() {
+            *retained = Retained::Accum(examples[*sample as usize].clone());
+        }
+        let (a, b) = (mixed.retrain(6), unpacked.retrain(6));
+        assert!(
+            a.errors_per_epoch[0] > 0,
+            "retraining has work to do: {a:?}"
+        );
+        assert_eq!(a, b);
+        assert_eq!(mixed.accumulators(), unpacked.accumulators());
     }
 
     #[test]
