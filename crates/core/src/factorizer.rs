@@ -19,7 +19,7 @@
 
 use crate::{Encoder, FactorHdError, ItemPath, ObjectSpec, Scene, Taxonomy, ThresholdPolicy};
 use hdc::stage::{Stage, StageTimer};
-use hdc::{AccumHv, Bind, BipolarHv, CodebookScan, Similarity, TernaryHv};
+use hdc::{AccumHv, AsPackedQuery, Bind, BipolarHv, Codebook, CodebookScan, Similarity, TernaryHv};
 use std::sync::Arc;
 
 /// Builds the per-class label-elimination masks
@@ -133,7 +133,9 @@ impl Default for FactorizeConfig {
 /// comparisons of Fig. 4 report these alongside wall-clock time.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FactorizeStats {
-    /// Item-similarity measurements performed.
+    /// Candidate similarities evaluated, scanned or updated. Every Rep-3
+    /// iteration counts each level-1 item of every class, whether its dot
+    /// came from a scan or from the incremental dot table.
     pub similarity_checks: u64,
     /// Candidate combinations bound and tested against the scene.
     pub combination_tests: u64,
@@ -230,6 +232,61 @@ struct Combo {
     sim: f64,
 }
 
+/// The level-1 dot table of one [`Factorizer::factorize_multi`] call:
+/// row `c` holds the exact integer dots between `residual ⊙ unbind_keys[c]`
+/// and every item of class `c`'s top-level codebook, in item order.
+///
+/// Binding and bundling are linear, so excluding a reconstruction `x`
+/// from the residual moves each dot by `−dot(x ⊙ unbind_keys[c], item)`.
+/// One full scan fills the table on the first iteration; every later
+/// iteration pays one packed *ternary* dot per item instead of a scalar
+/// accumulator scan. The arithmetic is integer, so each selection is
+/// bit-identical to a rescan of the current residual.
+#[derive(Default)]
+struct LevelOneDots {
+    /// Class `c`'s top-level codebook, fetched once at the fill.
+    tops: Vec<Arc<Codebook>>,
+    /// One row of dots per class; empty until the fill.
+    rows: Vec<Vec<i64>>,
+    /// Scratch for the exclusion dots, reused across classes and
+    /// iterations.
+    delta: Vec<i64>,
+}
+
+/// Exact integer dots of a level-1 query against every item of a
+/// codebook, on the route the query's scan takes.
+trait LevelOneFill {
+    fn dots_into(&self, codebook: &Codebook, out: &mut Vec<i64>);
+}
+
+impl LevelOneFill for TernaryHv {
+    /// The packed popcount scan.
+    fn dots_into(&self, codebook: &Codebook, out: &mut Vec<i64>) {
+        codebook.packed_view().dots_into(self.packed_query(), out);
+    }
+}
+
+impl LevelOneFill for AccumHv {
+    /// The scalar accumulator dot (a general bundle has no packed form).
+    fn dots_into(&self, codebook: &Codebook, out: &mut Vec<i64>) {
+        out.clear();
+        out.extend(codebook.iter().map(|item| self.dot_bipolar(item)));
+    }
+}
+
+/// Every item of `row` whose similarity `dot / dim` strictly exceeds
+/// `th`, by descending similarity with ties by ascending index — the
+/// hits (similarity bits included) of
+/// [`CodebookScan::scan_above_threshold_into`] on the same dots.
+fn select_above(row: &[i64], dim: usize, th: f64, out: &mut Vec<hdc::SearchHit>) {
+    out.clear();
+    out.extend(row.iter().enumerate().filter_map(|(index, &dot)| {
+        let sim = dot as f64 / dim as f64;
+        (sim > th).then_some(hdc::SearchHit { index, sim })
+    }));
+    out.sort_unstable_by(|a, b| b.sim.total_cmp(&a.sim).then(a.index.cmp(&b.index)));
+}
+
 /// Factorizes FactorHD scene hypervectors back into objects.
 ///
 /// Borrows the [`Taxonomy`]; cheap to construct (precomputes one label
@@ -240,7 +297,8 @@ struct Combo {
 /// the Rep-3 threshold selection — routes through the codebooks' packed
 /// shard tables ([`hdc::CodebookScan`]) whenever the query has a lossless
 /// word-level form, with results bit-identical to the scalar reference
-/// scans.
+/// scans. Rep 3 scans each level-1 codebook once per scene and updates
+/// those dots by packed ternary dots as objects are excluded.
 ///
 /// ```
 /// use factorhd_core::{Encoder, FactorizeConfig, Factorizer, Scene, TaxonomyBuilder};
@@ -403,15 +461,6 @@ impl<'a> Factorizer<'a> {
             },
             stats,
         ))
-    }
-
-    /// Convenience wrapper factorizing a clipped single-object vector.
-    ///
-    /// # Errors
-    ///
-    /// [`FactorHdError::DimensionMismatch`] on a wrong-size query.
-    pub fn factorize_ternary(&self, hv: &TernaryHv) -> Result<DecodedObject, FactorHdError> {
-        self.factorize_single(&hv.to_accum())
     }
 
     /// [`Factorizer::factorize_single`] for a whole batch of scenes in one
@@ -683,17 +732,13 @@ impl<'a> Factorizer<'a> {
         let th = self.resolved_threshold();
         let mut stats = FactorizeStats::default();
         let mut residual = hv.clone();
+        let mut dots = LevelOneDots::default();
         let mut objects = Vec::new();
 
         while objects.len() < self.config.max_objects {
-            match self.find_one_object(&residual, th, &mut stats)? {
+            match self.extract_object(&mut residual, &mut dots, th, &mut stats)? {
                 None => break,
-                Some(decoded) => {
-                    let reconstruction = self.reconstruct(&decoded.object)?;
-                    residual.sub_ternary(&reconstruction);
-                    objects.push(decoded);
-                    stats.objects_found += 1;
-                }
+                Some(decoded) => objects.push(decoded),
             }
         }
 
@@ -705,7 +750,28 @@ impl<'a> Factorizer<'a> {
     }
 
     /// One iteration of the Algorithm-1 loop: find the strongest object in
-    /// `residual`, or `None` when nothing clears `th`.
+    /// `residual` and exclude its reconstruction from both `residual` and
+    /// the level-1 dot table, or return `None` when nothing clears `th`.
+    fn extract_object(
+        &self,
+        residual: &mut AccumHv,
+        dots: &mut LevelOneDots,
+        th: f64,
+        stats: &mut FactorizeStats,
+    ) -> Result<Option<DecodedObject>, FactorHdError> {
+        let Some(decoded) = self.find_one_object(residual, dots, th, stats)? else {
+            return Ok(None);
+        };
+        let reconstruction = self.reconstruct(&decoded.object)?;
+        residual.sub_ternary(&reconstruction);
+        self.exclude_from_level_one(dots, &reconstruction);
+        stats.objects_found += 1;
+        Ok(Some(decoded))
+    }
+
+    /// Finds the strongest object in `residual`, or `None` when nothing
+    /// clears `th`. `dots` must hold the level-1 dots of `residual`, or be
+    /// empty, in which case this fills it.
     ///
     /// Routed through the lossless ternary view when the residual's
     /// components fit `{-1, 0, 1}` (single-object scenes and late
@@ -714,12 +780,45 @@ impl<'a> Factorizer<'a> {
     fn find_one_object(
         &self,
         residual: &AccumHv,
+        dots: &mut LevelOneDots,
         th: f64,
         stats: &mut FactorizeStats,
     ) -> Result<Option<DecodedObject>, FactorHdError> {
         match residual.to_ternary_lossless() {
-            Some(ternary) => self.find_one_object_in(&ternary, residual, th, stats),
-            None => self.find_one_object_in(residual, residual, th, stats),
+            Some(ternary) => self.find_one_object_in(&ternary, residual, dots, th, stats),
+            None => self.find_one_object_in(residual, residual, dots, th, stats),
+        }
+    }
+
+    /// Fills `dots` with one full scan per class of the unbound residuals,
+    /// on the route each query's scan takes.
+    fn fill_level_one<Q: LevelOneFill>(
+        &self,
+        unbound: &[Q],
+        dots: &mut LevelOneDots,
+    ) -> Result<(), FactorHdError> {
+        let _span = StageTimer::enter(Stage::Scan);
+        for (class, query) in unbound.iter().enumerate() {
+            let top = self.taxonomy.codebook(class, &[])?;
+            let mut row = Vec::with_capacity(top.len());
+            query.dots_into(&top, &mut row);
+            dots.tops.push(top);
+            dots.rows.push(row);
+        }
+        Ok(())
+    }
+
+    /// Moves `dots` from a residual `r` to `r − reconstruction`: row `c`
+    /// loses the packed ternary dots of `reconstruction ⊙ unbind_keys[c]`.
+    fn exclude_from_level_one(&self, dots: &mut LevelOneDots, reconstruction: &TernaryHv) {
+        let _span = StageTimer::enter(Stage::Scan);
+        let LevelOneDots { tops, rows, delta } = dots;
+        for ((top, row), key) in tops.iter().zip(rows).zip(self.unbind_keys.iter()) {
+            let excluded = reconstruction.bind(key);
+            top.packed_view().dots_into(excluded.packed_query(), delta);
+            for (dot, d) in row.iter_mut().zip(delta.iter()) {
+                *dot -= d;
+            }
         }
     }
 
@@ -727,11 +826,12 @@ impl<'a> Factorizer<'a> {
         &self,
         query: &Q,
         residual: &AccumHv,
+        dots: &mut LevelOneDots,
         th: f64,
         stats: &mut FactorizeStats,
     ) -> Result<Option<DecodedObject>, FactorHdError>
     where
-        Q: CodebookScan + Bind<BipolarHv, Output = Q>,
+        Q: CodebookScan + Bind<BipolarHv, Output = Q> + LevelOneFill,
     {
         let f = self.taxonomy.num_classes();
 
@@ -743,16 +843,17 @@ impl<'a> Factorizer<'a> {
             })
             .collect();
 
-        // Level-1 candidate selection per class. Scan hits land in one
-        // buffer reused across classes, through the explicitly sequential
-        // `_into` route — a planned batch may already be running this
-        // whole decode inside a parallel region, and the scan must not
-        // fork again under it.
+        // Level-1 candidate selection per class, read from the dot table
+        // (filled by one scan on the first iteration, then updated by
+        // each exclusion). Hits land in one buffer reused across classes.
+        if dots.rows.is_empty() {
+            self.fill_level_one(&unbound, dots)?;
+        }
         let mut per_class: Vec<Vec<Candidate>> = Vec::with_capacity(f);
         let mut hits: Vec<hdc::SearchHit> = Vec::new();
         for (class, unbound_class) in unbound.iter().enumerate() {
-            let top = self.taxonomy.codebook(class, &[])?;
-            unbound_class.scan_above_threshold_into(&top, th, &mut hits);
+            let top = &dots.tops[class];
+            select_above(&dots.rows[class], self.taxonomy.dim(), th, &mut hits);
             stats.similarity_checks += top.len() as u64;
             let mut cands: Vec<Candidate> = hits
                 .iter()
@@ -841,7 +942,9 @@ impl<'a> Factorizer<'a> {
     ) -> Result<Vec<Combo>, FactorHdError> {
         let mut per_class: Vec<Vec<Candidate>> = Vec::with_capacity(combo.slots.len());
         // One hits buffer reused across classes, scanned through the
-        // explicitly sequential `_into` route (see `find_one_object_in`).
+        // explicitly sequential `_into` route: a planned batch may already
+        // be running this whole decode inside a parallel region, and the
+        // scan must not fork again under it.
         let mut hits: Vec<hdc::SearchHit> = Vec::new();
         for (class, slot) in combo.slots.iter().enumerate() {
             if slot.exhausted || slot.path.is_none() {
@@ -897,9 +1000,12 @@ impl<'a> Factorizer<'a> {
         let mut accepted = Vec::new();
         let mut indices = vec![0usize; per_class.len()];
         let mut tested = 0usize;
+        // One product buffer for every test: `clone_from` copies into its
+        // words without allocating.
+        let mut product = per_class[0][0].item.clone();
         'outer: loop {
             // Build the combination product for the current index vector.
-            let mut product = per_class[0][indices[0]].item.clone();
+            product.clone_from(&per_class[0][indices[0]].item);
             for (class, &idx) in indices.iter().enumerate().skip(1) {
                 product.bind_assign(&per_class[class][idx].item);
             }
@@ -1396,6 +1502,103 @@ mod tests {
         assert!(via_factorizer.present);
         // Bad class indices surface as typed errors.
         assert!(fac.evaluate_membership(&hv, &[], &[9]).is_err());
+    }
+
+    /// The level-1 dots of `residual`, rescanned from scratch with the
+    /// scalar accumulator dot.
+    fn rescanned_dots(fac: &Factorizer<'_>, residual: &AccumHv) -> Vec<Vec<i64>> {
+        (0..fac.taxonomy.num_classes())
+            .map(|class| {
+                let unbound = residual.bind(&fac.unbind_keys[class]);
+                let top = fac.taxonomy.codebook(class, &[]).unwrap();
+                top.iter().map(|item| unbound.dot_bipolar(item)).collect()
+            })
+            .collect()
+    }
+
+    /// `select_above` on `dots` picks what the level-1 scan of `residual`
+    /// picks, on the route the scan takes, similarity bits included.
+    fn assert_selection_matches_scan(
+        fac: &Factorizer<'_>,
+        residual: &AccumHv,
+        dots: &LevelOneDots,
+        th: f64,
+    ) {
+        let dim = fac.taxonomy.dim();
+        let mut selected = Vec::new();
+        let mut scanned = Vec::new();
+        for (class, row) in dots.rows.iter().enumerate() {
+            let top = &dots.tops[class];
+            let unbound = residual.bind(&fac.unbind_keys[class]);
+            // The live threshold, one that admits every item (ties), and
+            // one equal to an item's exact similarity (the strict `>`).
+            for th in [th, -2.0, row[0] as f64 / dim as f64] {
+                select_above(row, dim, th, &mut selected);
+                match unbound.to_ternary_lossless() {
+                    Some(t) => t.scan_above_threshold_into(top, th, &mut scanned),
+                    None => unbound.scan_above_threshold_into(top, th, &mut scanned),
+                }
+                let bits = |hits: &[hdc::SearchHit]| -> Vec<(usize, u64)> {
+                    hits.iter().map(|h| (h.index, h.sim.to_bits())).collect()
+                };
+                assert_eq!(bits(&selected), bits(&scanned), "class {class}, th {th}");
+            }
+        }
+    }
+
+    #[test]
+    fn level_one_table_equals_a_fresh_scan_at_every_iteration() {
+        // Odd D exercises the padding bits of the packed exclusion dots.
+        for dim in [65usize, 1000, 4096] {
+            let t = TaxonomyBuilder::new(dim)
+                .seed(dim as u64)
+                .class("a", &[12])
+                .class("b", &[6, 4])
+                .class("c", &[10])
+                .build()
+                .expect("valid taxonomy");
+            let enc = Encoder::new(&t);
+            let mut rng = rng_from_seed(dim as u64 ^ 0x1D07);
+            for n in 1..=6 {
+                for duplicate in [false, true] {
+                    let mut objects = t.sample_scene(n, !duplicate, &mut rng).objects().to_vec();
+                    if duplicate {
+                        objects[n - 1] = objects[0].clone();
+                    }
+                    let hv = enc.encode_scene(&Scene::new(objects)).unwrap();
+                    for max_objects in [1, 16] {
+                        let fac = Factorizer::new(
+                            &t,
+                            FactorizeConfig {
+                                max_objects,
+                                ..FactorizeConfig::default()
+                            },
+                        );
+                        let th = fac.resolved_threshold();
+                        let mut residual = hv.clone();
+                        let mut dots = LevelOneDots::default();
+                        let mut stats = FactorizeStats::default();
+                        let mut found = Vec::new();
+                        while found.len() < max_objects {
+                            let next = fac
+                                .extract_object(&mut residual, &mut dots, th, &mut stats)
+                                .unwrap();
+                            assert_eq!(dots.rows, rescanned_dots(&fac, &residual));
+                            assert_selection_matches_scan(&fac, &residual, &dots, th);
+                            match next {
+                                None => break,
+                                Some(decoded) => found.push(decoded),
+                            }
+                        }
+                        // The loop above is `factorize_multi`'s.
+                        let decoded = fac.factorize_multi(&hv).unwrap();
+                        assert_eq!(decoded.objects, found);
+                        assert_eq!(decoded.stats, stats);
+                        assert_eq!(decoded.residual_norm, residual.norm());
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -28,6 +28,47 @@ fn build(dim: usize, classes: &[Vec<usize>], seed: u64) -> Taxonomy {
     b.build().expect("valid generated taxonomy")
 }
 
+/// Algorithm 1 with a full level-1 rescan per iteration: every step is a
+/// fresh one-object `factorize_multi` of the current residual, whose
+/// level-1 dots come from a new scan, followed by the same
+/// reconstruct-and-exclude.
+fn rescan_each_iteration(
+    taxonomy: &Taxonomy,
+    config: FactorizeConfig,
+    hv: &hdc::AccumHv,
+) -> DecodedScene {
+    let encoder = Encoder::new(taxonomy);
+    let one_step = Factorizer::new(
+        taxonomy,
+        FactorizeConfig {
+            max_objects: 1,
+            ..config
+        },
+    );
+    let mut residual = hv.clone();
+    let mut objects = Vec::new();
+    let mut stats = FactorizeStats::default();
+    while objects.len() < config.max_objects {
+        let step = one_step.factorize_multi(&residual).expect("decodable");
+        stats.similarity_checks += step.stats.similarity_checks;
+        stats.combination_tests += step.stats.combination_tests;
+        stats.unbind_ops += step.stats.unbind_ops;
+        stats.truncated_combinations |= step.stats.truncated_combinations;
+        let Some(decoded) = step.objects.into_iter().next() else {
+            break;
+        };
+        let reconstruction = encoder.encode_object(decoded.object()).expect("encodable");
+        residual.sub_ternary(&reconstruction);
+        objects.push(decoded);
+        stats.objects_found += 1;
+    }
+    DecodedScene {
+        objects,
+        stats,
+        residual_norm: residual.norm(),
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -196,5 +237,53 @@ proptest! {
         // silent.
         prop_assert_eq!(fresh.packed_view().generation(), fresh.generation());
         prop_assert_eq!(stale.packed_view().generation(), stale_generation);
+    }
+
+    /// The incremental level-1 dot table changes nothing: `factorize_multi`
+    /// decodes every scene exactly as a loop that rescans the residual on
+    /// each iteration — objects, confidence bits, stats and residual norm —
+    /// across odd and even D, 1–6 objects, duplicates and `max_objects`
+    /// cut-offs.
+    #[test]
+    fn incremental_multi_decode_equals_rescanning_loop(
+        (dim, classes, seed) in (
+            prop_oneof![Just(65usize), Just(1000usize), Just(2048usize)],
+            proptest::collection::vec(
+                prop_oneof![
+                    proptest::collection::vec(4usize..16, 1..=1),
+                    proptest::collection::vec(3usize..6, 2..=2),
+                ],
+                2..=4,
+            ),
+            any::<u64>(),
+        ),
+        n in 1usize..=6,
+        duplicate in 0u8..2,
+        max_objects in 1usize..=8,
+    ) {
+        let taxonomy = build(dim, &classes, seed);
+        let encoder = Encoder::new(&taxonomy);
+        let mut rng = rng_from_seed(seed ^ 0x3333);
+        let mut objects = taxonomy.sample_scene(n, false, &mut rng).objects().to_vec();
+        if duplicate == 1 {
+            objects[n - 1] = objects[0].clone();
+        }
+        let hv = encoder.encode_scene(&Scene::new(objects)).expect("encodable");
+        let config = FactorizeConfig {
+            max_objects,
+            ..FactorizeConfig::default()
+        };
+        let decoded = Factorizer::new(&taxonomy, config).factorize_multi(&hv).expect("decodable");
+        let reference = rescan_each_iteration(&taxonomy, config, &hv);
+        let view = |scene: &DecodedScene| -> Vec<(ObjectSpec, u64)> {
+            scene
+                .objects
+                .iter()
+                .map(|d| (d.object().clone(), d.confidence().to_bits()))
+                .collect()
+        };
+        prop_assert_eq!(view(&decoded), view(&reference));
+        prop_assert_eq!(decoded.stats, reference.stats);
+        prop_assert_eq!(decoded.residual_norm.to_bits(), reference.residual_norm.to_bits());
     }
 }

@@ -6,37 +6,58 @@
 //! with a counting global allocator, the same technique as the hdc scan
 //! steady-state test.
 //!
-//! This file holds exactly one test so no sibling test thread can
-//! allocate concurrently and blur the measurement.
+//! The allocator counts per thread, so an allocation on another thread
+//! of the process (the test harness's) cannot blur the measurement.
 
 use factorhd_engine::metrics::{self, Stage, StageTimer};
 use factorhd_engine::OpKind;
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 /// Delegates to the system allocator, counting every allocation and
-/// reallocation (deallocations are free to happen — the invariant under
-/// test is "no new memory", not "no memory").
+/// reallocation of the calling thread (deallocations are free to happen
+/// — the invariant under test is "no new memory", not "no memory").
 struct CountingAllocator;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocations made by this thread. Per thread, so an allocation on
+    /// another thread of the process (the test harness's own) cannot land
+    /// in the measured window.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Counts one allocation against the calling thread.
+fn count_allocation() {
+    // `try_with` fails only while the thread's locals are being torn
+    // down, which is never inside the measured window.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+/// Allocations the calling thread has made so far.
+fn thread_allocations() -> u64 {
+    ALLOCATIONS.with(Cell::get)
+}
 
 // SAFETY: pure delegation to `System`, which upholds the `GlobalAlloc`
 // contract; the counter is a side effect invisible to allocation
-// semantics.
+// semantics. The counter is a `const`-initialized thread local of a
+// `Cell<u64>`: it needs no lazy initialization and has no destructor, so
+// touching it never allocates (no re-entry into this allocator), and
+// `try_with` makes an access during thread teardown a no-op instead of a
+// panic inside the allocator.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.realloc(ptr, layout, new_size)
     }
 
@@ -86,11 +107,11 @@ fn steady_state_metric_recording_performs_zero_heap_allocations() {
         record_round(round);
     }
 
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = thread_allocations();
     for round in 0..25 {
         record_round(round);
     }
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    let after = thread_allocations();
     assert_eq!(
         after - before,
         0,

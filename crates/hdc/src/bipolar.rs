@@ -20,10 +20,26 @@ use std::fmt;
 /// // Binding with itself gives the identity vector (all +1).
 /// assert_eq!(v.bind(&v), BipolarHv::ones(256));
 /// ```
-#[derive(Clone, PartialEq, Eq, Hash)]
+#[derive(PartialEq, Eq, Hash)]
 pub struct BipolarHv {
     words: Vec<u64>,
     dim: usize,
+}
+
+impl Clone for BipolarHv {
+    fn clone(&self) -> Self {
+        BipolarHv {
+            words: self.words.clone(),
+            dim: self.dim,
+        }
+    }
+
+    /// Copies into `self`'s existing word buffer: a copy between vectors
+    /// of one dimension allocates nothing (the derived impl would).
+    fn clone_from(&mut self, source: &Self) {
+        self.words.clone_from(&source.words);
+        self.dim = source.dim;
+    }
 }
 
 impl BipolarHv {
@@ -446,6 +462,20 @@ mod tests {
         let mut c = a.clone();
         c.bind_assign(&b);
         assert_eq!(c, a.bind(&b));
+    }
+
+    #[test]
+    fn clone_from_reuses_the_word_buffer() {
+        let mut rng = rng_from_seed(23);
+        let a = BipolarHv::random(300, &mut rng);
+        let mut c = BipolarHv::random(300, &mut rng);
+        let buffer = c.words.as_ptr();
+        c.clone_from(&a);
+        assert_eq!(c, a);
+        assert_eq!(c.words.as_ptr(), buffer);
+        // Across dimensions it is still a faithful copy.
+        c.clone_from(&BipolarHv::ones(65));
+        assert_eq!(c, BipolarHv::ones(65));
     }
 
     #[test]

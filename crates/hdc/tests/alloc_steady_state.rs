@@ -5,10 +5,11 @@
 //! scratch, the final ordering is an in-place unstable sort, and the
 //! output buffers are caller-owned and reused.
 //!
-//! Proven with a counting global allocator: every `alloc`/`realloc` in
-//! the process increments a counter, and the steady-state scan loop must
-//! leave it untouched. This file holds exactly one test so no sibling
-//! test thread can allocate concurrently and blur the measurement.
+//! Proven with a counting global allocator: every `alloc`/`realloc`
+//! increments a counter of the calling thread, and the steady-state scan
+//! loop must leave the test thread's counter untouched. Counting per
+//! thread keeps other threads of the process (the test harness's) out of
+//! the measurement.
 //!
 //! The loop runs with **metrics recording enabled**: the scan stage
 //! timers (`hdc::stage`) sit inside every `_into` scan, so this test
@@ -18,31 +19,52 @@
 
 use hdc::{AsPackedQuery, Bundle, Codebook, PackedQuery, TernaryHv};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 /// Delegates to the system allocator, counting every allocation and
-/// reallocation (deallocations are free to happen — the invariant under
-/// test is "no new memory", not "no memory").
+/// reallocation of the calling thread (deallocations are free to happen
+/// — the invariant under test is "no new memory", not "no memory").
 struct CountingAllocator;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocations made by this thread. Per thread, so an allocation on
+    /// another thread of the process (the test harness's own) cannot land
+    /// in the measured window.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Counts one allocation against the calling thread.
+fn count_allocation() {
+    // `try_with` fails only while the thread's locals are being torn
+    // down, which is never inside the measured window.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+/// Allocations the calling thread has made so far.
+fn thread_allocations() -> u64 {
+    ALLOCATIONS.with(Cell::get)
+}
 
 // SAFETY: pure delegation to `System`, which upholds the `GlobalAlloc`
 // contract; the counter is a side effect invisible to allocation
-// semantics.
+// semantics. The counter is a `const`-initialized thread local of a
+// `Cell<u64>`: it needs no lazy initialization and has no destructor, so
+// touching it never allocates (no re-entry into this allocator), and
+// `try_with` makes an access during thread teardown a no-op instead of a
+// panic inside the allocator.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.realloc(ptr, layout, new_size)
     }
 
@@ -115,11 +137,11 @@ fn steady_state_scans_perform_zero_heap_allocations() {
     hdc::stage::set_metrics_recording(true);
     let scans_before = scan_stage_count();
 
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = thread_allocations();
     for _ in 0..25 {
         run_all(&mut hits, &mut many, &mut dots, &mut th_hits);
     }
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    let after = thread_allocations();
     assert_eq!(
         after - before,
         0,
